@@ -190,12 +190,11 @@ std::uint64_t FullTrack::log_entry_count() const {
 }
 
 std::uint64_t FullTrack::meta_state_bytes() const {
-  std::uint64_t bytes = write_.byte_size() +
-                        static_cast<std::uint64_t>(n_) * sizeof(std::uint64_t);
-  for (const auto& [x, m] : last_write_on_) {
-    bytes += sizeof(VarId) + m.byte_size();
-  }
-  return bytes;
+  // Every stored matrix is n x n like write_, so the total is closed-form.
+  return write_.byte_size() +
+         static_cast<std::uint64_t>(n_) * sizeof(std::uint64_t) +
+         static_cast<std::uint64_t>(last_write_on_.size()) *
+             (sizeof(VarId) + write_.byte_size());
 }
 
 void FullTrack::sample_space() {

@@ -128,7 +128,7 @@ void OptTrack::do_write(VarId x, std::string data) {
     apply_[self_] = clock_;
     known_apply_[static_cast<std::size_t>(self_) * rmap_.sites() + self_] =
         clock_;
-    last_write_on_[x] = log_;
+    set_last_write_on(x, log_);
     apply_own_write(x, std::move(v));
   }
   sample_space();
@@ -165,7 +165,7 @@ void OptTrack::apply(Update&& u) {
   if (options_.prune_cond1) {
     for (LogEntry& o : lw) o.dests.erase(self_);
   }
-  last_write_on_[u.x] = std::move(lw);
+  set_last_write_on(u.x, std::move(lw));
   apply_value(u.x, std::move(u.v), u.receipt);
 }
 
@@ -302,9 +302,10 @@ bool OptTrack::restore_meta(net::Decoder& dec) {
   const std::uint64_t lw = dec.varint();
   if (!dec.ok()) return false;
   last_write_on_.clear();
+  last_write_on_bytes_ = 0;
   for (std::uint64_t i = 0; i < lw; ++i) {
     const auto x = static_cast<VarId>(dec.varint());
-    last_write_on_[x] = decode_log(dec);
+    set_last_write_on(x, decode_log(dec));
   }
   const std::uint64_t np = dec.varint();
   if (!dec.ok()) return false;
@@ -338,19 +339,22 @@ void OptTrack::seal_local_meta() {
   sample_space();
 }
 
+void OptTrack::set_last_write_on(VarId x, Log lw) {
+  const auto [it, inserted] = last_write_on_.try_emplace(x);
+  if (inserted) last_write_on_bytes_ += sizeof(VarId);
+  last_write_on_bytes_ -= log_byte_size(it->second);  // 0 when inserted
+  last_write_on_bytes_ += log_byte_size(lw);
+  it->second = std::move(lw);
+}
+
 std::uint64_t OptTrack::meta_state_bytes() const {
-  std::uint64_t bytes =
-      sizeof(std::uint64_t) +
-      static_cast<std::uint64_t>(apply_.size()) * sizeof(std::uint64_t) +
-      (gossip_enabled()
-           ? static_cast<std::uint64_t>(known_apply_.size()) *
-                 sizeof(std::uint64_t)
-           : 0) +
-      log_byte_size(log_);
-  for (const auto& [x, lw] : last_write_on_) {
-    bytes += sizeof(VarId) + log_byte_size(lw);
-  }
-  return bytes;
+  return sizeof(std::uint64_t) +
+         static_cast<std::uint64_t>(apply_.size()) * sizeof(std::uint64_t) +
+         (gossip_enabled()
+              ? static_cast<std::uint64_t>(known_apply_.size()) *
+                    sizeof(std::uint64_t)
+              : 0) +
+         log_byte_size(log_) + last_write_on_bytes_;
 }
 
 void OptTrack::sample_space() {

@@ -86,7 +86,6 @@ class OptTrack final : public ProtocolBase {
     std::uint64_t clock;
     DestSet replicas;
     Log log;
-    std::vector<std::uint64_t> sender_apply;  // gossip mode only
     sim::SimTime receipt;
   };
 
@@ -101,6 +100,9 @@ class OptTrack final : public ProtocolBase {
   void discharge_log(Log& log) const;
   void absorb_apply_vector(SiteId from, net::Decoder& dec);
   void encode_apply_vector(net::Encoder& enc) const;
+  /// The only writer of last_write_on_: replaces x's record and keeps
+  /// last_write_on_bytes_ exact (subtract the old record, add the new).
+  void set_last_write_on(VarId x, Log lw);
   void sample_space();
 
   Options options_;
@@ -111,6 +113,9 @@ class OptTrack final : public ProtocolBase {
   std::vector<std::uint64_t> known_apply_;
   Log log_;
   std::unordered_map<VarId, Log> last_write_on_;
+  /// Sum over last_write_on_ of sizeof(VarId) + log_byte_size(record), so
+  /// meta_state_bytes() never walks the per-variable records.
+  std::uint64_t last_write_on_bytes_ = 0;
   PendingBuffer<Update> pending_;
 };
 

@@ -6,6 +6,9 @@
 //   message size   -> control_bytes + payload_bytes, measured on the wire
 //   time           -> write_op_ns / read_op_ns (protocol CPU, not sim time)
 //   space          -> log_entries / meta_state_bytes gauges sampled by sites
+//                     after every op; each protocol maintains its footprint
+//                     incrementally (or in closed form), so a sample never
+//                     walks the per-variable metadata and costs O(1) in q
 // plus latency histograms in simulated time (apply delay, read latency).
 #pragma once
 
@@ -84,7 +87,8 @@ struct Metrics {
 
   // ---- space: sampled by protocol instances ----
   Gauge log_entries;        ///< entries in the local causal log (per site)
-  Gauge meta_state_bytes;   ///< serialized footprint of all causal metadata
+  Gauge meta_state_bytes;   ///< footprint of all causal metadata (kept
+                            ///< incrementally by the protocol, O(1) per op)
   std::uint64_t pending_peak = 0;  ///< max buffered (not-yet-applied) updates
 
   void note_pending(std::uint64_t depth) noexcept {

@@ -70,7 +70,7 @@ std::string render_metrics_text(
     std::uint64_t pending_updates, const Durability::Stats& durability,
     const std::vector<std::string>& site_regions, const HealthStats& health,
     const store::EngineStats& engine_stats, std::uint64_t parked_envelopes,
-    std::uint64_t malformed_envelopes) {
+    std::uint64_t malformed_envelopes, const net::Reactor::Stats& clients) {
   // Shard-aggregated view feeds the classic unlabeled series so existing
   // dashboards keep working whatever the shard count is.
   ProtocolEngine::QueueStats engine;
@@ -208,6 +208,15 @@ std::string render_metrics_text(
               "Peer messages dropped by envelope admission",
               malformed_envelopes);
   }
+
+  // ---- client connections (epoll reactor) ----
+  r.gauge("ccpr_client_conns_active", "Client connections open right now",
+          static_cast<double>(clients.active));
+  r.counter("ccpr_client_conns_accepted_total", "Client connections accepted",
+            clients.accepted);
+  r.counter("ccpr_client_conns_dropped_total",
+            "Client connections closed on a protocol or socket error",
+            clients.conns_dropped);
 
   // ---- durability: WAL + anti-entropy catch-up ----
   r.gauge("ccpr_wal_enabled", "1 when this site runs with a write-ahead log",

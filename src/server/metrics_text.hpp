@@ -15,6 +15,7 @@
 
 #include "causal/types.hpp"
 #include "metrics/metrics.hpp"
+#include "net/reactor.hpp"
 #include "net/tcp_transport.hpp"
 #include "server/durability.hpp"
 #include "server/protocol_engine.hpp"
@@ -49,6 +50,9 @@ struct HealthStats {
 /// shard every queue/parked gauge is additionally emitted with a
 /// shard="<k>" label, and the cross-shard envelope admission exports
 /// `parked_envelopes` / `malformed_envelopes`.
+///
+/// `clients` is the client-facing reactor's connection counters, rendered
+/// as the ccpr_client_conns_* family.
 std::string render_metrics_text(
     causal::SiteId site, const metrics::Metrics& merged,
     const std::vector<ProtocolEngine::QueueStats>& engine_shards,
@@ -58,6 +62,7 @@ std::string render_metrics_text(
     const HealthStats& health = {},
     const store::EngineStats& engine_stats = {},
     std::uint64_t parked_envelopes = 0,
-    std::uint64_t malformed_envelopes = 0);
+    std::uint64_t malformed_envelopes = 0,
+    const net::Reactor::Stats& clients = {});
 
 }  // namespace ccpr::server

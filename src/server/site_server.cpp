@@ -979,7 +979,8 @@ std::string SiteServer::metrics_text() const {
       self_, metrics(), engine_->queue_stats(), transport_->peer_stats(),
       s ? s->pending_updates : 0, d ? *d : Durability::Stats{}, site_regions,
       health_stats(), eng ? *eng : store::EngineStats{},
-      engine_->parked_envelopes(), engine_->malformed_envelopes());
+      engine_->parked_envelopes(), engine_->malformed_envelopes(),
+      reactor_stats());
 }
 
 }  // namespace ccpr::server

@@ -166,5 +166,31 @@ TEST(FullTrackTest, MetaStateBytesGrowWithWrites) {
   c.run();
 }
 
+// meta_state_bytes() is closed-form in the number of stored matrices: one
+// n x n matrix per locally replicated variable that has been written
+// (exactly the variables whose stored value is not the initial one).
+TEST(FullTrackTest, SpaceAccountingMatchesRestoredState) {
+  const auto stored_matrices_footprint = [](const SimCluster& c) {
+    const auto& rmap = c.replica_map();
+    const std::uint64_t n = rmap.sites();
+    for (SiteId s = 0; s < rmap.sites(); ++s) {
+      std::uint64_t written = 0;
+      for (const VarId x : rmap.vars_at(s)) {
+        if (!c.site(s).peek(x).data.empty()) ++written;
+      }
+      const std::uint64_t matrix = n * n * sizeof(std::uint64_t);
+      EXPECT_EQ(c.site(s).meta_state_bytes(),
+                matrix + n * sizeof(std::uint64_t) +
+                    written * (sizeof(VarId) + matrix))
+          << "site " << s;
+    }
+  };
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    ccpr::testing::check_space_accounting_exact(Algorithm::kFullTrack, seed,
+                                                stored_matrices_footprint);
+  }
+}
+
 }  // namespace
 }  // namespace ccpr::causal

@@ -209,5 +209,14 @@ TEST(OptTrackTest, LogStaysBoundedUnderSteadyTraffic) {
   expect_causal(c);
 }
 
+// meta_state_bytes() keeps a running total of the per-variable records
+// instead of walking them; overwrites replace records of varying length.
+TEST(OptTrackTest, SpaceAccountingMatchesRestoredState) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    ccpr::testing::check_space_accounting_exact(Algorithm::kOptTrack, seed);
+  }
+}
+
 }  // namespace
 }  // namespace ccpr::causal

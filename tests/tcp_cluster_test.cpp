@@ -23,6 +23,7 @@
 #include "checker/recorder.hpp"
 #include "client/client.hpp"
 #include "net/socket.hpp"
+#include "net/wire.hpp"
 #include "server/cluster_config.hpp"
 #include "util/rng.hpp"
 
@@ -267,6 +268,85 @@ TEST(TcpClusterTest, MigrationPreservesReadYourWrites) {
   }
 
   for (auto& srv : servers) srv.terminate();
+  ::unlink(path);
+}
+
+/// Value of one `ccpr_*{site="0"}` sample in a scrape, or -1 when absent.
+double site0_metric(const std::string& text, const std::string& name) {
+  const std::string series = name + "{site=\"0\"} ";
+  const auto pos = text.find(series);
+  if (pos == std::string::npos) return -1.0;
+  return std::stod(text.substr(pos + series.size()));
+}
+
+TEST(TcpClusterTest, ClientConnMetricsCountConnectAndDisconnect) {
+  const auto ports = pick_ports(2);
+  auto cfg = server::ClusterConfig::loopback(1, 4, 1, 0);
+  cfg.sites[0].peer_port = ports[0];
+  cfg.sites[0].client_port = ports[1];
+  cfg.algorithm = causal::Algorithm::kOptTrack;
+
+  char path[] = "/tmp/ccpr_cluster_XXXXXX";
+  const int cfd = ::mkstemp(path);
+  ASSERT_GE(cfd, 0);
+  ::close(cfd);
+  {
+    std::ofstream out(path);
+    out << cfg.to_text();
+  }
+  ServerProcess server;
+  server.spawn(path, 0);
+
+  {
+    client::Client probe(cfg, 0);
+    const auto base = probe.metrics_text();
+    const double active = site0_metric(base, "ccpr_client_conns_active");
+    const double accepted =
+        site0_metric(base, "ccpr_client_conns_accepted_total");
+    const double dropped =
+        site0_metric(base, "ccpr_client_conns_dropped_total");
+    ASSERT_GE(active, 1.0);  // the probe itself
+    ASSERT_GE(accepted, active);
+    ASSERT_GE(dropped, 0.0);
+
+    // The reactor counts asynchronously to our socket calls: poll.
+    const auto settles = [&](double want_active, double want_accepted,
+                             double want_dropped) {
+      const auto deadline = std::chrono::steady_clock::now() + 5s;
+      for (;;) {
+        const auto text = probe.metrics_text();
+        if (site0_metric(text, "ccpr_client_conns_active") == want_active &&
+            site0_metric(text, "ccpr_client_conns_accepted_total") ==
+                want_accepted &&
+            site0_metric(text, "ccpr_client_conns_dropped_total") ==
+                want_dropped) {
+          return true;
+        }
+        if (std::chrono::steady_clock::now() > deadline) {
+          ADD_FAILURE() << text;
+          return false;
+        }
+        std::this_thread::sleep_for(5ms);
+      }
+    };
+
+    {
+      net::Socket conn = net::tcp_dial("127.0.0.1", cfg.sites[0].client_port);
+      ASSERT_TRUE(conn.valid());
+      EXPECT_TRUE(settles(active + 1, accepted + 1, dropped));
+    }  // clean close: not a drop
+    EXPECT_TRUE(settles(active, accepted + 1, dropped));
+
+    net::Socket bad = net::tcp_dial("127.0.0.1", cfg.sites[0].client_port);
+    ASSERT_TRUE(bad.valid());
+    net::Encoder enc;
+    enc.u32(0xffffffffu);  // declared frame length over any cap
+    ASSERT_TRUE(net::write_all(bad.fd(), enc.buffer().data(),
+                               enc.buffer().size()));
+    EXPECT_TRUE(settles(active, accepted + 2, dropped + 1));
+  }
+
+  server.terminate();
   ::unlink(path);
 }
 

@@ -15,9 +15,11 @@ Two modes:
       Regression gate: for every bench named in the rules file, match rows
       between the baseline and current BENCH_<name>.json by the rule's key
       fields and fail (exit 1) when a gated metric regressed by more than
-      its threshold. Metrics marked "timing" measure wall-clock on the
-      host that ran the bench; --skip-timing downgrades their failures to
-      warnings for comparisons across unlike machines (deterministic
+      its threshold. A rule's optional "where" ({field: value}) limits it
+      to the baseline rows whose fields equal those values. Metrics marked
+      "timing" measure wall-clock on the host that ran the bench;
+      --skip-timing downgrades their failures to warnings for
+      comparisons across unlike machines (deterministic
       metrics — message counts, bytes, space — are always enforced).
 
 Exit codes: 0 ok, 1 check failed, 2 usage/malformed input.
@@ -166,7 +168,10 @@ def cmd_compare(args):
         with open(cur_path) as f:
             cur = index_rows(json.load(f), bench_rule["key_fields"])
 
+        where = bench_rule.get("where", {})
         for key, base_row in base.items():
+            if any(base_row.get(k) != v for k, v in where.items()):
+                continue
             cur_row = cur.get(key)
             if cur_row is None:
                 failures.append(
