@@ -108,7 +108,7 @@ std::unique_ptr<IProtocol> make_protocol(Algorithm alg, SiteId self,
   // keyspace never changes who tracks whom) and, when the store engine
   // spills to disk, its own spill directory.
   return std::make_unique<ShardGroup>(
-      opts.engine_shards, self, std::move(svc),
+      opts.engine_shards, std::move(svc),
       [alg, self, &rmap, &opts](std::uint32_t k, Services sk) {
         ProtocolOptions single = opts;
         single.engine_shards = 1;

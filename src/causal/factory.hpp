@@ -36,8 +36,9 @@ struct ProtocolOptions {
   /// Partition the site's keyspace over this many independent engine
   /// shards (causal::ShardGroup; cluster-wide — every site must agree).
   /// 1 = unsharded, byte-identical to the pre-sharding behavior. The TCP
-  /// runtime implements sharding in server::ShardedEngine instead and
-  /// always builds single-shard protocols.
+  /// runtime runs one apply thread per shard (server::ShardedEngine), so it
+  /// builds single-shard protocols; both drive the same
+  /// causal::ShardChannels for cross-shard order.
   std::uint32_t engine_shards = 1;
   /// Carve the per-writer WriteId sequence space: the protocol issues seqs
   /// offset+1, offset+1+stride, offset+1+2*stride, ... Shard k of N uses

@@ -1,5 +1,6 @@
 #include "causal/shard_group.hpp"
 
+#include <algorithm>
 #include <string_view>
 
 #include "net/wire.hpp"
@@ -7,14 +8,18 @@
 
 namespace ccpr::causal {
 
-ShardGroup::ShardGroup(std::uint32_t shards, SiteId self, Services svc,
+ShardGroup::ShardGroup(std::uint32_t shards, Services svc,
                        const ProtocolBuilder& builder)
-    : map_(shards), self_(self), outer_(std::move(svc)) {
-  (void)self_;
+    : map_(shards), channels_(shards), outer_(std::move(svc)) {
   inner_.reserve(map_.shards());
   for (std::uint32_t k = 0; k < map_.shards(); ++k) {
     Services sk = outer_;
-    sk.send = [this, k](net::Message m) { group_send(k, std::move(m)); };
+    sk.send = [this, k](net::Message m) {
+      const SiteId dst = m.dst;
+      outer_.send(channels_.wrap(k, std::move(m), [this, dst](std::uint32_t j) {
+        return inner_[j]->coverage_token(dst);
+      }));
+    };
     if (outer_.schedule) {
       // Timer callbacks are protocol entry points: applying a deferred
       // fetch/activation can cover parked cross-shard tokens, so re-scan
@@ -29,26 +34,6 @@ ShardGroup::ShardGroup(std::uint32_t shards, SiteId self, Services svc,
     inner_.push_back(builder(k, std::move(sk)));
     CCPR_ASSERT(inner_.back() != nullptr);
   }
-}
-
-void ShardGroup::group_send(std::uint32_t from_shard, net::Message m) {
-  if (map_.shards() == 1) {
-    outer_.send(std::move(m));
-    return;
-  }
-  std::vector<ShardToken> tokens;
-  // Only messages that carry causal state forward need dependency tokens:
-  // updates (the receiver must not apply w before its cross-shard past) and
-  // fetch responses (the reader must not return v before v's cross-shard
-  // past is applied locally). Requests are wrapped for demux only.
-  if (m.kind == net::MsgKind::kUpdate || m.kind == net::MsgKind::kFetchResp) {
-    tokens.reserve(map_.shards() - 1);
-    for (std::uint32_t j = 0; j < map_.shards(); ++j) {
-      if (j == from_shard) continue;
-      tokens.push_back(ShardToken{j, inner_[j]->coverage_token(m.dst)});
-    }
-  }
-  outer_.send(wrap_shard_envelope(from_shard, tokens, m));
 }
 
 void ShardGroup::write(VarId x, std::string data) {
@@ -67,53 +52,28 @@ void ShardGroup::on_message(const net::Message& msg) {
     inner_[0]->on_message(msg);
     return;
   }
-  if (msg.kind != net::MsgKind::kShardEnvelope) {
-    // A sharded site only exchanges envelopes with peers (heartbeats are
-    // handled by the runtime before the protocol sees them).
-    CCPR_DEBUG_ASSERT(false && "non-envelope message at sharded site");
-    ++malformed_;
-    return;
-  }
-  std::optional<ShardEnvelope> env = unwrap_shard_envelope(msg);
-  if (!env || env->shard >= map_.shards()) {
-    ++malformed_;
-    return;
-  }
-  parked_[{msg.src, env->shard}].push_back(std::move(*env));
-  ++parked_total_;
-  rescan_parked();
-}
-
-bool ShardGroup::head_ready(const ShardEnvelope& env) {
-  for (const ShardToken& t : env.tokens) {
-    if (t.shard >= map_.shards()) return true;  // stale token: ignore
-    if (!inner_[t.shard]->covered_by(t.token)) return false;
-  }
-  return true;
+  if (channels_.push(msg)) rescan_parked();
 }
 
 void ShardGroup::rescan_parked() {
   // A read continuation delivered below may synchronously issue further
   // ShardGroup operations; the guard turns such nested re-scans into no-ops
   // while the outer loop runs to its fixpoint.
-  if (rescanning_ || parked_total_ == 0) return;
+  if (rescanning_ || channels_.parked() == 0) return;
   rescanning_ = true;
+  const auto covered = [this](const ShardToken& t) {
+    return inner_[t.shard]->covered_by(t.token);
+  };
   bool progress = true;
   while (progress) {
     progress = false;
-    for (auto it = parked_.begin(); it != parked_.end();) {
-      std::deque<ShardEnvelope>& q = it->second;
-      while (!q.empty() && head_ready(q.front())) {
-        ShardEnvelope env = std::move(q.front());
-        q.pop_front();
-        --parked_total_;
+    for (const ShardChannels::Channel& c : channels_.channels()) {
+      while (channels_.depth(c) > 0 &&
+             std::all_of(channels_.head_deps(c).begin(),
+                         channels_.head_deps(c).end(), covered)) {
+        const ShardEnvelope env = channels_.pop(c);
         progress = true;
         inner_[env.shard]->on_message(env.inner);
-      }
-      if (q.empty()) {
-        it = parked_.erase(it);
-      } else {
-        ++it;
       }
     }
   }
@@ -153,20 +113,18 @@ void ShardGroup::serialize_state(net::Encoder& enc) const {
         reinterpret_cast<const char*>(sub.buffer().data()),
         sub.buffer().size()));
   }
-  enc.varint(parked_total_);
-  for (const auto& [key, q] : parked_) {
-    for (const ShardEnvelope& env : q) {
-      const net::Message m =
-          wrap_shard_envelope(env.shard, env.tokens, env.inner);
-      enc.varint(m.src);
-      enc.varint(m.dst);
-      enc.varint(m.payload_bytes);
-      enc.varint(m.chan_epoch);
-      enc.varint(m.chan_seq);
-      enc.bytes(std::string_view(reinterpret_cast<const char*>(m.body.data()),
-                                 m.body.size()));
-    }
-  }
+  enc.varint(channels_.parked());
+  channels_.for_each_parked([&enc](const ShardEnvelope& env) {
+    const net::Message m =
+        wrap_shard_envelope(env.shard, env.tokens, env.inner);
+    enc.varint(m.src);
+    enc.varint(m.dst);
+    enc.varint(m.payload_bytes);
+    enc.varint(m.chan_epoch);
+    enc.varint(m.chan_seq);
+    enc.bytes(std::string_view(reinterpret_cast<const char*>(m.body.data()),
+                               m.body.size()));
+  });
 }
 
 bool ShardGroup::restore_state(net::Decoder& dec) {
@@ -191,10 +149,7 @@ bool ShardGroup::restore_state(net::Decoder& dec) {
     const std::string body = dec.bytes();
     if (!dec.ok()) return false;
     m.body.assign(body.begin(), body.end());
-    std::optional<ShardEnvelope> env = unwrap_shard_envelope(m);
-    if (!env || env->shard >= map_.shards()) return false;
-    parked_[{m.src, env->shard}].push_back(std::move(*env));
-    ++parked_total_;
+    if (!channels_.push(m)) return false;
   }
   rescan_parked();
   return true;
@@ -216,23 +171,13 @@ void ShardGroup::on_durable_checkpoint(std::uint64_t gen) {
 store::EngineStats ShardGroup::store_stats() const {
   store::EngineStats sum = inner_[0]->store_stats();
   for (std::size_t k = 1; k < inner_.size(); ++k) {
-    const store::EngineStats s = inner_[k]->store_stats();
-    sum.keys += s.keys;
-    sum.resident_bytes += s.resident_bytes;
-    sum.index_slots += s.index_slots;
-    sum.lookups += s.lookups;
-    sum.probes += s.probes;
-    sum.spilled_keys += s.spilled_keys;
-    sum.spill_segment_bytes += s.spill_segment_bytes;
-    sum.spill_reads += s.spill_reads;
-    sum.spill_writes += s.spill_writes;
-    sum.compactions += s.compactions;
+    sum += inner_[k]->store_stats();
   }
   return sum;
 }
 
 std::size_t ShardGroup::pending_update_count() const {
-  std::size_t n = parked_total_;
+  std::size_t n = channels_.parked();
   for (const auto& p : inner_) n += p->pending_update_count();
   return n;
 }

@@ -5,15 +5,10 @@
 // via the cluster-wide causal::ShardMap. Each inner protocol believes it is
 // the whole site (full ReplicaMap — causal metadata is per-site, not
 // per-variable, so the partition is safe); it just never sees operations on
-// variables outside its shard. Cross-shard causal order is restored on the
-// wire: every outbound protocol message is wrapped in a kShardEnvelope
-// carrying, for each *other* local shard, that shard's coverage token for
-// the destination site. The receiving ShardGroup parks an envelope until
-// its own shards cover the attached tokens, preserving per-(src, shard)
-// FIFO order while parked.
-//
-// With shards == 1 the group is a strict passthrough: no envelopes, no
-// token calls, byte-identical wire traffic to an unsharded site.
+// variables outside its shard. Cross-shard causal order is restored by
+// causal::ShardChannels (shard_map.hpp); ShardGroup drives it inline: an
+// outbound token is the other shard's coverage_token, and a parked head is
+// released once covered_by holds for each of its dependencies.
 //
 // Single-writer contract: ShardGroup is one protocol instance to its
 // runtime, so all entry points are already serialized; the inner instances
@@ -23,11 +18,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "causal/protocol.hpp"
@@ -43,7 +35,7 @@ class ShardGroup final : public IProtocol {
   using ProtocolBuilder =
       std::function<std::unique_ptr<IProtocol>(std::uint32_t k, Services svc)>;
 
-  ShardGroup(std::uint32_t shards, SiteId self, Services svc,
+  ShardGroup(std::uint32_t shards, Services svc,
              const ProtocolBuilder& builder);
 
   // ---- IProtocol ----
@@ -71,31 +63,25 @@ class ShardGroup final : public IProtocol {
   IProtocol& shard(std::uint32_t k) { return *inner_[k]; }
 
   /// Envelopes currently parked on unmet cross-shard tokens (all channels).
-  std::size_t parked_envelope_count() const noexcept { return parked_total_; }
-  /// Envelopes dropped because their body failed to decode.
-  std::uint64_t malformed_envelopes() const noexcept { return malformed_; }
+  std::size_t parked_envelope_count() const noexcept {
+    return channels_.parked();
+  }
+  /// Envelopes dropped as malformed (see ShardChannels::push).
+  std::uint64_t malformed_envelopes() const noexcept {
+    return channels_.malformed();
+  }
 
  private:
-  void group_send(std::uint32_t from_shard, net::Message m);
-  bool head_ready(const ShardEnvelope& env);
-  /// Deliver every channel head whose tokens are covered; loops to a
+  /// Deliver every channel head whose dependencies are covered; loops to a
   /// fixpoint since each delivery can cover further tokens.
   void rescan_parked();
 
   ShardMap map_;
-  SiteId self_;
+  ShardChannels channels_;
   Services outer_;
   std::vector<std::unique_ptr<IProtocol>> inner_;
   std::uint32_t last_write_shard_ = 0;
   bool has_local_write_ = false;
-
-  // Per-(src site, shard) FIFO of parked envelopes. Only the head of each
-  // channel is eligible; later entries wait behind it to preserve channel
-  // order. std::map keeps rescan order deterministic for the simulator.
-  std::map<std::pair<SiteId, std::uint32_t>, std::deque<ShardEnvelope>>
-      parked_;
-  std::size_t parked_total_ = 0;
-  std::uint64_t malformed_ = 0;
   bool rescanning_ = false;
 };
 

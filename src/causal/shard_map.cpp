@@ -1,6 +1,7 @@
 #include "causal/shard_map.hpp"
 
 #include "net/wire.hpp"
+#include "util/assert.hpp"
 
 namespace ccpr::causal {
 
@@ -63,6 +64,76 @@ std::optional<ShardEnvelope> unwrap_shard_envelope(const net::Message& env) {
   out.inner.chan_epoch = env.chan_epoch;
   out.inner.chan_seq = env.chan_seq;
   return out;
+}
+
+net::Message ShardChannels::wrap(std::uint32_t from_shard, net::Message m,
+                                 const TokenOf& token_of) const {
+  if (shards() == 1) return m;
+  std::vector<ShardToken> tokens;
+  if (m.kind == net::MsgKind::kUpdate || m.kind == net::MsgKind::kFetchResp) {
+    tokens.reserve(shards() - 1);
+    for (std::uint32_t j = 0; j < shards(); ++j) {
+      if (j == from_shard) continue;
+      std::vector<std::uint8_t> tok = token_of(j);
+      if (!tok.empty()) tokens.push_back(ShardToken{j, std::move(tok)});
+    }
+  }
+  return wrap_shard_envelope(from_shard, tokens, m);
+}
+
+std::optional<ShardChannels::Channel> ShardChannels::push(
+    const net::Message& msg) {
+  std::optional<ShardEnvelope> env = unwrap_shard_envelope(msg);
+  bool ok = env && env->shard < shards();
+  for (std::size_t i = 0; ok && i < env->tokens.size(); ++i) {
+    const std::uint32_t j = env->tokens[i].shard;
+    ok = j < shards() && j != env->shard;
+  }
+  if (!ok) {
+    ++malformed_;
+    return std::nullopt;
+  }
+  // An empty token is trivially covered: it is no dependency.
+  std::erase_if(env->tokens,
+                [](const ShardToken& t) { return t.token.empty(); });
+  const Channel c{msg.src, env->shard};
+  chans_[c].push_back(std::move(*env));
+  ++parked_;
+  return c;
+}
+
+std::size_t ShardChannels::depth(Channel c) const {
+  const auto it = chans_.find(c);
+  return it == chans_.end() ? 0 : it->second.size();
+}
+
+const std::vector<ShardToken>& ShardChannels::head_deps(Channel c) const {
+  CCPR_EXPECTS(depth(c) > 0);
+  return chans_.find(c)->second.front().tokens;
+}
+
+ShardEnvelope ShardChannels::pop(Channel c) {
+  const auto it = chans_.find(c);
+  CCPR_EXPECTS(it != chans_.end());
+  ShardEnvelope env = std::move(it->second.front());
+  it->second.pop_front();
+  if (it->second.empty()) chans_.erase(it);
+  --parked_;
+  return env;
+}
+
+std::vector<ShardChannels::Channel> ShardChannels::channels() const {
+  std::vector<Channel> out;
+  out.reserve(chans_.size());
+  for (const auto& [c, q] : chans_) out.push_back(c);
+  return out;
+}
+
+void ShardChannels::for_each_parked(
+    const std::function<void(const ShardEnvelope&)>& fn) const {
+  for (const auto& [c, q] : chans_) {
+    for (const ShardEnvelope& env : q) fn(env);
+  }
 }
 
 std::vector<std::uint8_t> combine_shard_tokens(

@@ -27,7 +27,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "causal/types.hpp"
@@ -95,6 +99,72 @@ inline std::uint8_t shard_envelope_inner_kind(
     const std::vector<std::uint8_t>& body) noexcept {
   return body.empty() ? 0 : body[0];
 }
+
+/// The cross-shard envelope state machine both sharded runtimes drive
+/// (causal::ShardGroup inline, server::ShardedEngine under its admission
+/// mutex). It makes every envelope decision; the runtimes only decide *how*
+/// a dependency gets checked (a direct covered_by call, or a covered-waiter
+/// posted to another apply thread) and where a released message goes.
+///
+///  * Outbound (wrap): with one shard a strict passthrough. Otherwise a
+///    kUpdate / kFetchResp from shard k carries token_of(j) for every other
+///    shard j — updates so the receiver cannot apply w before its
+///    cross-shard past, fetch responses so a reader cannot return v before
+///    v's cross-shard past is applied locally. Empty tokens are trivially
+///    covered and left out. Other kinds are wrapped for demux only.
+///  * Inbound (push): an envelope is malformed — dropped and counted — if
+///    it is not an envelope, does not decode, targets a shard >= N, or has
+///    a token naming a shard >= N or the target shard itself (a peer with a
+///    different shard count produces exactly these). Admitted envelopes
+///    join their per-(source site, target shard) FIFO channel; only a
+///    channel's head is eligible for release, later envelopes wait behind
+///    it.
+///
+/// Not thread-safe, except that wrap() reads no channel state and may run
+/// concurrently with anything.
+class ShardChannels {
+ public:
+  /// One inbound FIFO: (source site, target shard).
+  using Channel = std::pair<SiteId, std::uint32_t>;
+  using TokenOf = std::function<std::vector<std::uint8_t>(std::uint32_t)>;
+
+  explicit ShardChannels(std::uint32_t shards) : map_(shards) {}
+
+  std::uint32_t shards() const noexcept { return map_.shards(); }
+
+  /// Wrap shard `from_shard`'s outbound `m` (see class comment). token_of
+  /// is called only for the shards whose tokens the message carries.
+  net::Message wrap(std::uint32_t from_shard, net::Message m,
+                    const TokenOf& token_of) const;
+
+  /// Validate `msg` and append it to its channel. Returns that channel, or
+  /// nullopt (counted in malformed()) when the envelope is rejected.
+  std::optional<Channel> push(const net::Message& msg);
+
+  /// Envelopes queued on `c` (0 once its last envelope is popped).
+  std::size_t depth(Channel c) const;
+  /// The head of `c`'s cross-shard dependencies: every token the target
+  /// site's shards must cover before the head may be released. Empty means
+  /// releasable now. Requires depth(c) > 0.
+  const std::vector<ShardToken>& head_deps(Channel c) const;
+  /// Remove and return the head of `c`. Requires depth(c) > 0.
+  ShardEnvelope pop(Channel c);
+
+  /// Every non-empty channel, in a deterministic (sorted) order.
+  std::vector<Channel> channels() const;
+  /// Visit every parked envelope, channel by channel in FIFO order.
+  void for_each_parked(
+      const std::function<void(const ShardEnvelope&)>& fn) const;
+
+  std::size_t parked() const noexcept { return parked_; }
+  std::uint64_t malformed() const noexcept { return malformed_; }
+
+ private:
+  ShardMap map_;
+  std::map<Channel, std::deque<ShardEnvelope>> chans_;
+  std::size_t parked_ = 0;
+  std::uint64_t malformed_ = 0;
+};
 
 // ---- multi-shard session tokens -------------------------------------------
 //

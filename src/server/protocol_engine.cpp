@@ -505,8 +505,13 @@ void ProtocolEngine::loop() {
     for (Cmd& cmd : batch) {
       cmd.run();
       // Local writes, peer applies and timer callbacks can all advance the
-      // applied frontier that covered_by inspects.
+      // applied frontier that covered_by inspects. Local reads (and
+      // snapshots) change the coverage token too: they merge the read
+      // write's dependencies into the site's metadata, and a session that
+      // read them must not then send a cross-shard update without them.
       coverage_dirty = coverage_dirty || cmd.kind == CmdKind::kWrite ||
+                       cmd.kind == CmdKind::kRead ||
+                       cmd.kind == CmdKind::kSnapshot ||
                        cmd.kind == CmdKind::kApplyUpdate ||
                        cmd.kind == CmdKind::kTimer;
     }

@@ -120,7 +120,8 @@ class ProtocolEngine {
       std::function<void(std::optional<std::vector<std::uint8_t>>)>;
   using CoveredCb = std::function<void(std::optional<bool>)>;
   /// Batch-end hook: runs on the apply thread after every batch that may
-  /// have advanced the applied frontier (writes, peer applies, timers) and
+  /// have changed the coverage token (writes, reads, snapshots, peer
+  /// applies, timers) and
   /// once at loop start (so recovered state is visible), always *before*
   /// that batch's deferred callbacks fire. The sharded engine publishes
   /// this shard's coverage tokens here.

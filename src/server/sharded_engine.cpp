@@ -1,7 +1,5 @@
 #include "server/sharded_engine.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -11,7 +9,7 @@ namespace ccpr::server {
 ShardedEngine::ShardedEngine(std::uint32_t shards, causal::SiteId self,
                              std::uint32_t n_sites,
                              ProtocolEngine::Options engine_opts)
-    : map_(shards), self_(self), n_sites_(n_sites) {
+    : map_(shards), self_(self), n_sites_(n_sites), channels_(shards) {
   engines_.reserve(map_.shards());
   metrics_.reserve(map_.shards());
   for (std::uint32_t k = 0; k < map_.shards(); ++k) {
@@ -30,22 +28,14 @@ void ShardedEngine::set_transport_send(
 }
 
 net::Message ShardedEngine::wrap(std::uint32_t shard, net::Message msg) {
-  if (map_.shards() == 1) return msg;
-  std::vector<causal::ShardToken> tokens;
-  if (msg.kind == net::MsgKind::kUpdate ||
-      msg.kind == net::MsgKind::kFetchResp) {
+  const causal::SiteId dst = msg.dst;
+  return channels_.wrap(shard, std::move(msg), [this, dst](std::uint32_t j) {
+    // Empty = never published, which only happens on a fresh boot before
+    // shard j's first batch — its token would be trivially covered, so
+    // carrying nothing is equivalent (recovery publishes before start).
     std::lock_guard lk(token_mu_);
-    tokens.reserve(map_.shards() - 1);
-    for (std::uint32_t j = 0; j < map_.shards(); ++j) {
-      if (j == shard) continue;
-      const auto& tok = token_cache_[j][msg.dst];
-      // Empty = never published, which only happens on a fresh boot before
-      // shard j's first batch — its token would be trivially covered, so
-      // carrying nothing is equivalent (recovery publishes before start).
-      if (!tok.empty()) tokens.push_back(causal::ShardToken{j, tok});
-    }
-  }
-  return causal::wrap_shard_envelope(shard, tokens, std::move(msg));
+    return token_cache_[j][dst];
+  });
 }
 
 void ShardedEngine::wrap_and_send(std::uint32_t shard, net::Message msg) {
@@ -92,69 +82,41 @@ void ShardedEngine::deliver(net::Message msg) {
     engines_[0]->apply_message(std::move(msg));
     return;
   }
-  if (msg.kind != net::MsgKind::kShardEnvelope) {
-    // Sharded peers only exchange envelopes; anything else is a config
-    // mismatch (peer running a different shard count) — drop and count.
-    malformed_envelopes_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  std::optional<causal::ShardEnvelope> env = causal::unwrap_shard_envelope(msg);
-  if (!env || env->shard >= map_.shards()) {
-    malformed_envelopes_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const std::uint64_t key = chan_key(msg.src, env->shard);
-  bool arm = false;
+  std::optional<Channel> c;
   {
     std::lock_guard lk(adm_mu_);
-    Chan& c = chans_[key];
-    c.q.push_back(std::move(*env));
-    parked_envelopes_.fetch_add(1, std::memory_order_relaxed);
-    if (!c.armed) {
-      c.armed = true;
-      arm = true;
-    }
+    c = channels_.push(msg);
+    // An armed channel picks the new envelope up once the heads before it
+    // are released.
+    if (c && !armed_.insert(*c).second) c.reset();
   }
-  if (arm) arm_or_drain(key, /*bounded=*/true);
+  if (c) arm_or_drain(*c, /*bounded=*/true);
 }
 
-void ShardedEngine::arm_or_drain(std::uint64_t key, bool bounded) {
+void ShardedEngine::arm_or_drain(Channel c, bool bounded) {
   for (;;) {
-    std::vector<causal::ShardToken> tokens;
+    std::vector<causal::ShardToken> deps;
+    std::optional<causal::ShardEnvelope> ready;
     {
       std::lock_guard lk(adm_mu_);
-      auto it = chans_.find(key);
-      if (it == chans_.end() || it->second.q.empty()) {
-        if (it != chans_.end()) chans_.erase(it);
+      if (channels_.depth(c) == 0) {
+        armed_.erase(c);
         return;
       }
-      for (const causal::ShardToken& t : it->second.q.front().tokens) {
-        if (t.shard < map_.shards() && t.shard != it->second.q.front().shard &&
-            !t.token.empty()) {
-          tokens.push_back(t);
-        }
-      }
+      deps = channels_.head_deps(c);
+      if (deps.empty()) ready = channels_.pop(c);
     }
-    if (tokens.empty()) {
-      // Head carries no checkable dependencies (fetch/catch-up requests, or
-      // trivially covered): release it here and look at the next head.
-      causal::ShardEnvelope env;
-      {
-        std::lock_guard lk(adm_mu_);
-        auto it = chans_.find(key);
-        if (it == chans_.end() || it->second.q.empty()) return;
-        env = std::move(it->second.q.front());
-        it->second.q.pop_front();
-        parked_envelopes_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      engines_[env.shard]->apply_message(std::move(env.inner), bounded);
+    if (ready) {
+      // Head carries no dependencies (fetch/catch-up requests, or trivially
+      // covered): release it here and look at the next head.
+      engines_[ready->shard]->apply_message(std::move(ready->inner), bounded);
       continue;
     }
     auto gate = std::make_shared<Gate>();
-    gate->remaining.store(static_cast<std::uint32_t>(tokens.size()),
+    gate->remaining.store(static_cast<std::uint32_t>(deps.size()),
                           std::memory_order_relaxed);
-    gate->chan_key = key;
-    for (causal::ShardToken& t : tokens) {
+    gate->chan = c;
+    for (causal::ShardToken& t : deps) {
       // Verdict value is irrelevant: covered -> proceed; nullopt (engine
       // stopping) -> proceed too, the release enqueue is then a no-op drop,
       // exactly what an unsharded stopping site does with late deliveries.
@@ -162,7 +124,7 @@ void ShardedEngine::arm_or_drain(std::uint64_t key, bool bounded) {
           std::move(t.token),
           [this, gate](std::optional<bool>) {
             if (gate->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-              on_gate_open(gate->chan_key);
+              on_gate_open(gate->chan);
             }
           },
           bounded);
@@ -171,21 +133,27 @@ void ShardedEngine::arm_or_drain(std::uint64_t key, bool bounded) {
   }
 }
 
-void ShardedEngine::on_gate_open(std::uint64_t key) {
+void ShardedEngine::on_gate_open(Channel c) {
   causal::ShardEnvelope env;
   {
     std::lock_guard lk(adm_mu_);
-    auto it = chans_.find(key);
-    if (it == chans_.end() || it->second.q.empty()) return;
-    env = std::move(it->second.q.front());
-    it->second.q.pop_front();
-    parked_envelopes_.fetch_sub(1, std::memory_order_relaxed);
+    env = channels_.pop(c);
   }
   // Runs on whichever shard's apply thread reported the last verdict (or on
   // the poster's thread when an engine is stopping): everything below must
   // stay non-blocking, hence unbounded enqueues.
   engines_[env.shard]->apply_message(std::move(env.inner), /*bounded=*/false);
-  arm_or_drain(key, /*bounded=*/false);
+  arm_or_drain(c, /*bounded=*/false);
+}
+
+std::uint64_t ShardedEngine::parked_envelopes() const {
+  std::lock_guard lk(adm_mu_);
+  return channels_.parked();
+}
+
+std::uint64_t ShardedEngine::malformed_envelopes() const {
+  std::lock_guard lk(adm_mu_);
+  return channels_.malformed();
 }
 
 // ---- client-facing async API ----
@@ -397,20 +365,11 @@ std::optional<store::EngineStats> ShardedEngine::store_stats() {
   for (auto& e : engines_) {
     const auto s = e->store_stats();
     if (!s) return std::nullopt;
-    if (!sum) {
+    if (sum) {
+      *sum += *s;
+    } else {
       sum = *s;
-      continue;
     }
-    sum->keys += s->keys;
-    sum->resident_bytes += s->resident_bytes;
-    sum->index_slots += s->index_slots;
-    sum->lookups += s->lookups;
-    sum->probes += s->probes;
-    sum->spilled_keys += s->spilled_keys;
-    sum->spill_segment_bytes += s->spill_segment_bytes;
-    sum->spill_reads += s->spill_reads;
-    sum->spill_writes += s->spill_writes;
-    sum->compactions += s->compactions;
   }
   return sum;
 }
@@ -450,44 +409,6 @@ std::optional<Durability::CatchupProgress> ShardedEngine::catchup_progress() {
     if (!p) return std::nullopt;
     all.recovered = all.recovered || p->recovered;
     all.complete = all.complete && p->complete;
-  }
-  return all;
-}
-
-std::optional<std::vector<std::uint8_t>> ShardedEngine::coverage_token(
-    causal::SiteId target) {
-  std::vector<std::vector<std::uint8_t>> per;
-  per.reserve(engines_.size());
-  for (auto& e : engines_) {
-    auto t = e->coverage_token(target);
-    if (!t) return std::nullopt;
-    per.push_back(std::move(*t));
-  }
-  return causal::combine_shard_tokens(per);
-}
-
-std::optional<bool> ShardedEngine::wait_covered(
-    std::vector<std::uint8_t> token, std::uint64_t wait_us) {
-  if (map_.shards() == 1) {
-    return engines_[0]->wait_covered(std::move(token), wait_us);
-  }
-  const auto split = causal::split_shard_tokens(token, map_.shards());
-  if (!split) return false;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::microseconds(wait_us);
-  bool all = true;
-  for (std::uint32_t k = 0; k < map_.shards(); ++k) {
-    const auto now = std::chrono::steady_clock::now();
-    const std::uint64_t remaining =
-        deadline > now
-            ? static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<std::chrono::microseconds>(
-                      deadline - now)
-                      .count())
-            : 0;
-    const auto v = engines_[k]->wait_covered((*split)[k], remaining);
-    if (!v) return std::nullopt;
-    all = all && *v;
   }
   return all;
 }

@@ -8,26 +8,21 @@
 // here is a strict passthrough and the site behaves byte-identically to the
 // pre-sharding server.
 //
-// Cross-shard causal order (shards > 1):
+// Cross-shard causal order (shards > 1) is causal::ShardChannels
+// (shard_map.hpp); ShardedEngine drives it across threads:
 //
-//  * Outbound: every protocol message leaves through wrap(): shard k's
-//    update / fetch-response gets the *other* local shards' coverage tokens
-//    for the destination attached inside a kShardEnvelope. Tokens come from
-//    a per-shard cache refreshed by each shard's batch-end hook — published
-//    BEFORE that batch's client callbacks fire, so the cache provably
-//    covers anything any session has observed (publish-before-fulfill; see
-//    protocol_engine.hpp). Reading the cache is a mutex-protected lookup:
-//    shard k never blocks on shard j's apply thread.
-//
-//  * Inbound: deliver() unwraps envelopes into per-(source site, shard)
-//    FIFO channels. The head envelope's tokens are posted to the target
-//    shards as deadline-less covered-waiters; when the last one reports
-//    covered, the head is released into its shard's queue and the next head
-//    is armed. Later envelopes wait behind the head, preserving exactly the
-//    per-channel order an unsharded site gets from its single queue.
+//  * Outbound tokens come from a per-shard cache refreshed by each shard's
+//    batch-end hook — published BEFORE that batch's client callbacks fire,
+//    so the cache provably covers anything any session has observed
+//    (publish-before-fulfill; see protocol_engine.hpp). Reading the cache
+//    is a mutex-protected lookup: shard k never blocks on shard j's apply
+//    thread. Already-wrapped catch-up resends pass through verbatim.
+//  * Inbound, the channels live under adm_mu_. A channel's head is armed by
+//    posting each of its dependencies to the target shard as a
+//    deadline-less covered-waiter; when the last one reports covered, the
+//    head is released into its shard's queue and the next head is armed.
 //    Cross-shard waits are acyclic in the happens-before order the senders
-//    serialized, so parked envelopes always drain (no timeout needed); the
-//    parked count is exported for observability.
+//    serialized, so parked envelopes always drain (no timeout needed).
 //
 // Client-visible session state: coverage tokens become the framed
 // concatenation of every shard's token (causal::combine_shard_tokens), and
@@ -38,15 +33,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "causal/shard_map.hpp"
@@ -86,13 +79,13 @@ class ShardedEngine {
   /// before any shard starts.
   void set_transport_send(std::function<void(net::Message)> send);
 
-  /// Attach shard k's current cross-shard coverage tokens (kUpdate /
-  /// kFetchResp only) and wrap in a kShardEnvelope. Identity when
-  /// shards == 1. Installed as each shard Durability's wrap_update hook so
-  /// stamped updates are wrapped *before* retention and catch-up resends
-  /// replay the original-send tokens verbatim — fresh tokens at resend
-  /// time could reference writes parked behind the resent update at the
-  /// receiver, a cross-shard deadlock.
+  /// Wrap shard k's outbound message with its cached cross-shard tokens
+  /// (ShardChannels::wrap; identity when shards == 1). Installed as each
+  /// shard Durability's wrap_update hook so stamped updates are wrapped
+  /// *before* retention and catch-up resends replay the original-send
+  /// tokens verbatim — fresh tokens at resend time could reference writes
+  /// parked behind the resent update at the receiver, a cross-shard
+  /// deadlock.
   net::Message wrap(std::uint32_t shard, net::Message msg);
 
   /// Shard k's durability transport_send target: wraps fresh protocol
@@ -142,42 +135,27 @@ class ShardedEngine {
   std::optional<store::EngineStats> store_stats();
   std::optional<Durability::Stats> durability_stats();
   std::optional<Durability::CatchupProgress> catchup_progress();
-  std::optional<std::vector<std::uint8_t>> coverage_token(
-      causal::SiteId target);
-  std::optional<bool> wait_covered(std::vector<std::uint8_t> token,
-                                   std::uint64_t wait_us);
 
   std::vector<ProtocolEngine::QueueStats> queue_stats() const;
   /// Envelopes parked on unmet cross-shard tokens right now.
-  std::uint64_t parked_envelopes() const noexcept {
-    return parked_envelopes_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t malformed_envelopes() const noexcept {
-    return malformed_envelopes_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t parked_envelopes() const;
+  /// Inbound envelopes dropped as malformed (see ShardChannels::push).
+  std::uint64_t malformed_envelopes() const;
 
  private:
-  /// One inbound per-(src, shard) FIFO. Invariant: armed_ == !q.empty()
-  /// outside adm_mu_ critical sections.
-  struct Chan {
-    std::deque<causal::ShardEnvelope> q;
-    bool armed = false;
-  };
-  /// Countdown for one armed head's token set.
+  using Channel = causal::ShardChannels::Channel;
+  /// Countdown for one armed head's dependency set.
   struct Gate {
     std::atomic<std::uint32_t> remaining{0};
-    std::uint64_t chan_key = 0;
+    Channel chan;
   };
 
-  static std::uint64_t chan_key(causal::SiteId src, std::uint32_t shard) {
-    return (static_cast<std::uint64_t>(src) << 32) | shard;
-  }
-  /// Arm (or immediately drain) the head of `key`'s channel. `bounded`
-  /// selects blocking vs non-blocking enqueues for the covered-waiter
-  /// posts and the release apply — false whenever the caller may be an
-  /// apply thread.
-  void arm_or_drain(std::uint64_t key, bool bounded);
-  void on_gate_open(std::uint64_t key);
+  /// Arm (or immediately drain) the head of armed channel `c`; disarms it
+  /// once empty. `bounded` selects blocking vs non-blocking enqueues for
+  /// the covered-waiter posts and the release apply — false whenever the
+  /// caller may be an apply thread.
+  void arm_or_drain(Channel c, bool bounded);
+  void on_gate_open(Channel c);
 
   causal::ShardMap map_;
   causal::SiteId self_;
@@ -193,9 +171,11 @@ class ShardedEngine {
   std::vector<std::vector<std::vector<std::uint8_t>>> token_cache_;
 
   mutable std::mutex adm_mu_;
-  std::unordered_map<std::uint64_t, Chan> chans_;
-  std::atomic<std::uint64_t> parked_envelopes_{0};
-  std::atomic<std::uint64_t> malformed_envelopes_{0};
+  causal::ShardChannels channels_;  ///< guarded by adm_mu_ (wrap() is not)
+  /// Channels with a head in flight: a gate waiting, or a release not yet
+  /// followed by the next arm. Exactly one thread drives an armed channel,
+  /// which keeps its releases in FIFO order.
+  std::set<Channel> armed_;
 };
 
 }  // namespace ccpr::server

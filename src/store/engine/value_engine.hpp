@@ -86,6 +86,22 @@ struct EngineStats {
                         : static_cast<double>(probes) /
                               static_cast<double>(lookups);
   }
+
+  /// Sum another engine's counters into this one (a sharded site's total).
+  /// `kind` is left alone: every shard runs the same engine.
+  EngineStats& operator+=(const EngineStats& o) {
+    keys += o.keys;
+    resident_bytes += o.resident_bytes;
+    index_slots += o.index_slots;
+    lookups += o.lookups;
+    probes += o.probes;
+    spilled_keys += o.spilled_keys;
+    spill_segment_bytes += o.spill_segment_bytes;
+    spill_reads += o.spill_reads;
+    spill_writes += o.spill_writes;
+    compactions += o.compactions;
+    return *this;
+  }
 };
 
 class ValueEngine {

@@ -6,10 +6,15 @@
 // cross-version (and cross-site) compatibility, not just a hash choice.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "causal/factory.hpp"
+#include "causal/shard_group.hpp"
 #include "causal/shard_map.hpp"
+#include "metrics/metrics.hpp"
 #include "net/message.hpp"
 #include "test_support.hpp"
 #include "workload/workload.hpp"
@@ -187,6 +192,187 @@ TEST(ShardTokenCodecTest, CountMismatchAndGarbageAreRejected) {
   auto padded = combined;
   padded.push_back(0xff);
   EXPECT_FALSE(causal::split_shard_tokens(padded, 4).has_value());
+}
+
+// ---- ShardChannels: the envelope state machine both runtimes drive ----
+
+/// An update envelope from `src` for shard `shard`, tagged with `seq` so a
+/// test can tell released envelopes apart.
+net::Message envelope_from(causal::SiteId src, std::uint32_t shard,
+                           std::uint64_t seq,
+                           const std::vector<causal::ShardToken>& tokens) {
+  net::Message inner = make_inner();
+  inner.src = src;
+  inner.chan_seq = seq;
+  return causal::wrap_shard_envelope(shard, tokens, inner);
+}
+
+/// Release every channel head whose dependencies all satisfy `covered`,
+/// the way ShardGroup does; returns the released envelopes' seqs.
+std::vector<std::uint64_t> drain(
+    causal::ShardChannels& ch,
+    const std::function<bool(const causal::ShardToken&)>& covered) {
+  std::vector<std::uint64_t> out;
+  for (const auto& c : ch.channels()) {
+    while (ch.depth(c) > 0 && std::all_of(ch.head_deps(c).begin(),
+                                          ch.head_deps(c).end(), covered)) {
+      out.push_back(ch.pop(c).inner.chan_seq);
+    }
+  }
+  return out;
+}
+
+const auto kNothingCovered = [](const causal::ShardToken&) { return false; };
+const auto kAllCovered = [](const causal::ShardToken&) { return true; };
+
+TEST(ShardChannelsTest, ReadyEnvelopeWaitsBehindUnmetHead) {
+  causal::ShardChannels ch(4);
+  ASSERT_TRUE(ch.push(envelope_from(0, 0, 1, {{1, {7}}})));
+  ASSERT_TRUE(ch.push(envelope_from(0, 0, 2, {})));
+  const causal::ShardChannels::Channel c{0, 0};
+  EXPECT_EQ(ch.depth(c), 2u);
+  ASSERT_EQ(ch.head_deps(c).size(), 1u);
+  EXPECT_EQ(ch.head_deps(c)[0].shard, 1u);
+
+  // Envelope 2 has no dependencies, but it may not overtake the head.
+  EXPECT_TRUE(drain(ch, kNothingCovered).empty());
+  EXPECT_EQ(ch.parked(), 2u);
+  EXPECT_EQ(drain(ch, kAllCovered), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(ch.parked(), 0u);
+  EXPECT_TRUE(ch.channels().empty());
+}
+
+TEST(ShardChannelsTest, ChannelsProgressIndependently) {
+  causal::ShardChannels ch(4);
+  ASSERT_TRUE(ch.push(envelope_from(0, 0, 1, {{1, {7}}})));  // blocked
+  ASSERT_TRUE(ch.push(envelope_from(1, 0, 2, {})));  // other source site
+  ASSERT_TRUE(ch.push(envelope_from(0, 2, 3, {})));  // other target shard
+  // Channels come out sorted by (source site, shard).
+  EXPECT_EQ(drain(ch, kNothingCovered), (std::vector<std::uint64_t>{3, 2}));
+  EXPECT_EQ(ch.parked(), 1u);
+  EXPECT_EQ(ch.channels(),
+            (std::vector<causal::ShardChannels::Channel>{{0, 0}}));
+}
+
+TEST(ShardChannelsTest, EmptyInboundTokensAreNoDependency) {
+  causal::ShardChannels ch(4);
+  ASSERT_TRUE(ch.push(envelope_from(0, 1, 1, {{0, {}}, {2, {5}}})));
+  const auto& deps = ch.head_deps({0, 1});
+  ASSERT_EQ(deps.size(), 1u);
+  EXPECT_EQ(deps[0].shard, 2u);
+}
+
+TEST(ShardChannelsTest, SingleShardWrapIsPassthrough) {
+  const causal::ShardChannels ch(1);
+  int calls = 0;
+  const net::Message inner = make_inner();
+  const net::Message out = ch.wrap(0, inner, [&calls](std::uint32_t) {
+    ++calls;
+    return std::vector<std::uint8_t>{1};
+  });
+  EXPECT_EQ(out.kind, net::MsgKind::kUpdate);
+  EXPECT_EQ(out.body, inner.body);
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(ShardChannelsTest, WrapCarriesOtherShardsNonEmptyTokens) {
+  const causal::ShardChannels ch(4);
+  std::vector<std::uint32_t> asked;
+  const causal::ShardChannels::TokenOf token_of = [&asked](std::uint32_t j) {
+    asked.push_back(j);
+    return j == 2 ? std::vector<std::uint8_t>{}
+                  : std::vector<std::uint8_t>{static_cast<std::uint8_t>(j)};
+  };
+  for (const net::MsgKind kind :
+       {net::MsgKind::kUpdate, net::MsgKind::kFetchResp}) {
+    asked.clear();
+    net::Message inner = make_inner();
+    inner.kind = kind;
+    const auto env = causal::unwrap_shard_envelope(ch.wrap(1, inner, token_of));
+    ASSERT_TRUE(env.has_value());
+    EXPECT_EQ(env->shard, 1u);
+    EXPECT_EQ(env->inner.kind, kind);
+    // Never the sender's own shard 1; shard 2's empty token is left out.
+    EXPECT_EQ(asked, (std::vector<std::uint32_t>{0, 2, 3}));
+    ASSERT_EQ(env->tokens.size(), 2u);
+    EXPECT_EQ(env->tokens[0].shard, 0u);
+    EXPECT_EQ(env->tokens[0].token, (std::vector<std::uint8_t>{0}));
+    EXPECT_EQ(env->tokens[1].shard, 3u);
+    EXPECT_EQ(env->tokens[1].token, (std::vector<std::uint8_t>{3}));
+  }
+  // Requests are wrapped for demux only.
+  asked.clear();
+  net::Message req = make_inner();
+  req.kind = net::MsgKind::kFetchReq;
+  const auto env = causal::unwrap_shard_envelope(ch.wrap(1, req, token_of));
+  ASSERT_TRUE(env.has_value());
+  EXPECT_TRUE(env->tokens.empty());
+  EXPECT_TRUE(asked.empty());
+}
+
+TEST(ShardChannelsTest, MalformedEnvelopesAreCountedNotQueued) {
+  causal::ShardChannels ch(4);
+  EXPECT_FALSE(ch.push(make_inner()));                        // no envelope
+  EXPECT_FALSE(ch.push(envelope_from(0, 4, 1, {})));          // shard >= N
+  EXPECT_FALSE(ch.push(envelope_from(0, 1, 2, {{99, {}}})));  // token >= N
+  EXPECT_FALSE(ch.push(envelope_from(0, 1, 3, {{1, {4}}})));  // own shard
+  net::Message garbage = envelope_from(0, 1, 4, {});
+  garbage.body.resize(1);
+  EXPECT_FALSE(ch.push(garbage));                             // truncated
+  EXPECT_EQ(ch.malformed(), 5u);
+  EXPECT_EQ(ch.parked(), 0u);
+  EXPECT_TRUE(ch.channels().empty());
+}
+
+TEST(ShardGroupTest, StaleShardTokenIsRejectedNotApplied) {
+  // Two Opt-Track sites of 4 shards each, wired by hand so the test picks
+  // which envelope reaches site 1 when. Site 0 writes x, then y, on
+  // different shards: y's envelope depends on x's shard.
+  const auto rmap = causal::ReplicaMap::full(2, 8);
+  const causal::ShardMap map(4);
+  causal::VarId x = 0, y = 1;
+  while (map.shard_of(y) == map.shard_of(x)) ++y;
+  std::vector<net::Message> wire;
+  metrics::Metrics sink0, sink1;
+  auto make_site = [&](causal::SiteId self, metrics::Metrics* sink) {
+    causal::Services svc;
+    svc.send = [&wire](net::Message m) { wire.push_back(std::move(m)); };
+    svc.now = [] { return sim::SimTime{0}; };
+    svc.metrics = sink;
+    causal::ProtocolOptions opts;
+    opts.engine_shards = 4;
+    return causal::make_protocol(causal::Algorithm::kOptTrack, self, rmap,
+                                 std::move(svc), opts);
+  };
+  auto site0 = make_site(0, &sink0);
+  auto site1 = make_site(1, &sink1);
+  auto& group1 = dynamic_cast<causal::ShardGroup&>(*site1);
+  site0->write(x, "first");
+  site0->write(y, "second");
+  ASSERT_EQ(wire.size(), 2u);
+  const net::Message x_env = wire[0];
+  const net::Message y_env = wire[1];
+
+  // y's envelope with a token for a shard site 1 does not have put in
+  // front — what a peer with a different shard count sends. It must not
+  // hide y's real dependency on x.
+  auto stale = causal::unwrap_shard_envelope(y_env);
+  ASSERT_TRUE(stale.has_value());
+  stale->tokens.insert(stale->tokens.begin(), causal::ShardToken{99, {}});
+  site1->on_message(
+      causal::wrap_shard_envelope(stale->shard, stale->tokens, stale->inner));
+  ASSERT_TRUE(site1->peek(y).data.empty())
+      << "y applied before its cross-shard past x";
+  EXPECT_EQ(group1.malformed_envelopes(), 1u);
+  EXPECT_EQ(group1.parked_envelope_count(), 0u);
+
+  site1->on_message(y_env);
+  EXPECT_EQ(group1.parked_envelope_count(), 1u);
+  EXPECT_TRUE(site1->peek(y).data.empty());
+  site1->on_message(x_env);
+  EXPECT_EQ(group1.parked_envelope_count(), 0u);
+  EXPECT_EQ(site1->peek(x).data, "first");
+  EXPECT_EQ(site1->peek(y).data, "second");
 }
 
 // ---- ShardGroup on the sim runtime ----

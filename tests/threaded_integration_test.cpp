@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "causal/threaded_cluster.hpp"
@@ -39,13 +40,21 @@ TEST(ThreadedClusterTest, ReadYourOwnWrites) {
   expect_causal(c);
 }
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// spells out its padding: every byte is initialised and the case names are
+// the same on every build and run.
 struct ThreadedSweepParam {
   Algorithm alg;
+  std::uint8_t pad0[3] = {};
   std::uint32_t n;
   std::uint32_t p;
+  std::uint32_t pad1 = 0;
   const char* name;
   std::uint32_t shards = 1;  ///< engine shards per site (ShardGroup when >1)
+  std::uint32_t pad2 = 0;
 };
+static_assert(std::has_unique_object_representations_v<ThreadedSweepParam>,
+              "ThreadedSweepParam must have no implicit padding");
 
 class ThreadedSweep : public ::testing::TestWithParam<ThreadedSweepParam> {};
 
@@ -80,14 +89,20 @@ TEST_P(ThreadedSweep, ConcurrentClientsStayCausal) {
 INSTANTIATE_TEST_SUITE_P(
     Algorithms, ThreadedSweep,
     ::testing::Values(
-        ThreadedSweepParam{Algorithm::kOptTrack, 4, 2, "OptTrack_partial"},
-        ThreadedSweepParam{Algorithm::kOptTrack, 4, 2,
-                           "OptTrack_partial_shards4", 4},
-        ThreadedSweepParam{Algorithm::kOptTrack, 4, 4, "OptTrack_full"},
-        ThreadedSweepParam{Algorithm::kFullTrack, 4, 2, "FullTrack_partial"},
-        ThreadedSweepParam{Algorithm::kOptTrackCRP, 4, 4, "CRP"},
-        ThreadedSweepParam{Algorithm::kOptP, 4, 4, "OptP"},
-        ThreadedSweepParam{Algorithm::kAhamad, 4, 4, "Ahamad"}),
+        ThreadedSweepParam{.alg = Algorithm::kOptTrack, .n = 4, .p = 2,
+                           .name = "OptTrack_partial"},
+        ThreadedSweepParam{.alg = Algorithm::kOptTrack, .n = 4, .p = 2,
+                           .name = "OptTrack_partial_shards4", .shards = 4},
+        ThreadedSweepParam{.alg = Algorithm::kOptTrack, .n = 4, .p = 4,
+                           .name = "OptTrack_full"},
+        ThreadedSweepParam{.alg = Algorithm::kFullTrack, .n = 4, .p = 2,
+                           .name = "FullTrack_partial"},
+        ThreadedSweepParam{.alg = Algorithm::kOptTrackCRP, .n = 4, .p = 4,
+                           .name = "CRP"},
+        ThreadedSweepParam{.alg = Algorithm::kOptP, .n = 4, .p = 4,
+                           .name = "OptP"},
+        ThreadedSweepParam{.alg = Algorithm::kAhamad, .n = 4, .p = 4,
+                           .name = "Ahamad"}),
     [](const ::testing::TestParamInfo<ThreadedSweepParam>& param_info) {
       return param_info.param.name;
     });
