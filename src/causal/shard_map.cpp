@@ -50,16 +50,14 @@ std::optional<ShardEnvelope> unwrap_shard_envelope(const net::Message& env) {
     t.shard = static_cast<std::uint32_t>(dec.varint());
     const std::uint64_t len = dec.varint();
     if (!dec.ok() || len > dec.remaining()) return std::nullopt;
-    const std::string raw = dec.raw(static_cast<std::size_t>(len));
-    t.token.assign(raw.begin(), raw.end());
+    t.token = dec.raw(static_cast<std::size_t>(len));
     out.tokens.push_back(std::move(t));
   }
   if (!dec.ok()) return std::nullopt;
   out.inner.kind = static_cast<net::MsgKind>(inner_kind);
   out.inner.src = env.src;
   out.inner.dst = env.dst;
-  const std::string rest = dec.raw(dec.remaining());
-  out.inner.body.assign(rest.begin(), rest.end());
+  out.inner.body = dec.raw(dec.remaining());
   out.inner.payload_bytes = env.payload_bytes;
   out.inner.chan_epoch = env.chan_epoch;
   out.inner.chan_seq = env.chan_seq;
@@ -81,7 +79,7 @@ net::Message ShardChannels::wrap(std::uint32_t from_shard, net::Message m,
   return wrap_shard_envelope(from_shard, tokens, m);
 }
 
-std::optional<ShardChannels::Channel> ShardChannels::push(
+std::optional<ShardChannels::Ticket> ShardChannels::push(
     const net::Message& msg) {
   std::optional<ShardEnvelope> env = unwrap_shard_envelope(msg);
   bool ok = env && env->shard < shards();
@@ -97,27 +95,49 @@ std::optional<ShardChannels::Channel> ShardChannels::push(
   std::erase_if(env->tokens,
                 [](const ShardToken& t) { return t.token.empty(); });
   const Channel c{msg.src, env->shard};
-  chans_[c].push_back(std::move(*env));
+  Queue& ch = chans_[c];
+  ch.q.push_back(Parked{std::move(*env)});
   ++parked_;
-  return c;
+  return Ticket{c, ch.front_seq + ch.q.size() - 1};
+}
+
+template <class Self>
+auto& ShardChannels::at(Self& self, const Ticket& t) {
+  const auto it = self.chans_.find(t.chan);
+  CCPR_EXPECTS(it != self.chans_.end() && t.seq >= it->second.front_seq &&
+               t.seq - it->second.front_seq < it->second.q.size());
+  return it->second.q[t.seq - it->second.front_seq];
+}
+
+const std::vector<ShardToken>& ShardChannels::deps(const Ticket& t) const {
+  return at(*this, t).env.tokens;
+}
+
+void ShardChannels::open(const Ticket& t) { at(*this, t).open = true; }
+
+std::optional<ShardEnvelope> ShardChannels::pop_open(Channel c) {
+  const auto it = chans_.find(c);
+  if (it == chans_.end() || !it->second.q.front().open) return std::nullopt;
+  return pop(c);
 }
 
 std::size_t ShardChannels::depth(Channel c) const {
   const auto it = chans_.find(c);
-  return it == chans_.end() ? 0 : it->second.size();
+  return it == chans_.end() ? 0 : it->second.q.size();
 }
 
 const std::vector<ShardToken>& ShardChannels::head_deps(Channel c) const {
   CCPR_EXPECTS(depth(c) > 0);
-  return chans_.find(c)->second.front().tokens;
+  return chans_.find(c)->second.q.front().env.tokens;
 }
 
 ShardEnvelope ShardChannels::pop(Channel c) {
   const auto it = chans_.find(c);
   CCPR_EXPECTS(it != chans_.end());
-  ShardEnvelope env = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) chans_.erase(it);
+  ShardEnvelope env = std::move(it->second.q.front().env);
+  it->second.q.pop_front();
+  ++it->second.front_seq;
+  if (it->second.q.empty()) chans_.erase(it);
   --parked_;
   return env;
 }
@@ -131,8 +151,8 @@ std::vector<ShardChannels::Channel> ShardChannels::channels() const {
 
 void ShardChannels::for_each_parked(
     const std::function<void(const ShardEnvelope&)>& fn) const {
-  for (const auto& [c, q] : chans_) {
-    for (const ShardEnvelope& env : q) fn(env);
+  for (const auto& [c, ch] : chans_) {
+    for (const Parked& p : ch.q) fn(p.env);
   }
 }
 
@@ -159,8 +179,7 @@ std::optional<std::vector<std::vector<std::uint8_t>>> split_shard_tokens(
   for (std::uint32_t i = 0; i < shards; ++i) {
     const std::uint64_t len = dec.varint();
     if (!dec.ok() || len > dec.remaining()) return std::nullopt;
-    const std::string raw = dec.raw(static_cast<std::size_t>(len));
-    out.emplace_back(raw.begin(), raw.end());
+    out.push_back(dec.raw(static_cast<std::size_t>(len)));
   }
   if (!dec.ok() || !dec.exhausted()) return std::nullopt;
   return out;

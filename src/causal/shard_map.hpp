@@ -116,9 +116,13 @@ inline std::uint8_t shard_envelope_inner_kind(
 ///    it is not an envelope, does not decode, targets a shard >= N, or has
 ///    a token naming a shard >= N or the target shard itself (a peer with a
 ///    different shard count produces exactly these). Admitted envelopes
-///    join their per-(source site, target shard) FIFO channel; only a
-///    channel's head is eligible for release, later envelopes wait behind
-///    it.
+///    join their per-(source site, target shard) FIFO channel and get a
+///    ticket. A runtime may check any parked envelope's dependencies at
+///    once (deps), whatever waits ahead of it, and mark it open when they
+///    are met; coverage only grows, so an open envelope stays releasable.
+///    Release is still in channel order: pop_open hands out the head only
+///    while it is open, so an open envelope waits behind an unmet one.
+///    ShardGroup instead re-checks head_deps and pops heads directly.
 ///
 /// Not thread-safe, except that wrap() reads no channel state and may run
 /// concurrently with anything.
@@ -127,6 +131,13 @@ class ShardChannels {
   /// One inbound FIFO: (source site, target shard).
   using Channel = std::pair<SiteId, std::uint32_t>;
   using TokenOf = std::function<std::vector<std::uint8_t>(std::uint32_t)>;
+
+  /// Names one admitted envelope while it is parked: its channel and its
+  /// position in that channel's arrival order.
+  struct Ticket {
+    Channel chan;
+    std::uint64_t seq = 0;
+  };
 
   explicit ShardChannels(std::uint32_t shards) : map_(shards) {}
 
@@ -137,9 +148,19 @@ class ShardChannels {
   net::Message wrap(std::uint32_t from_shard, net::Message m,
                     const TokenOf& token_of) const;
 
-  /// Validate `msg` and append it to its channel. Returns that channel, or
+  /// Validate `msg` and append it to its channel. Returns its ticket, or
   /// nullopt (counted in malformed()) when the envelope is rejected.
-  std::optional<Channel> push(const net::Message& msg);
+  std::optional<Ticket> push(const net::Message& msg);
+
+  /// The cross-shard dependencies of parked envelope `t`: every token the
+  /// target site's shards must cover before it may be released. Empty
+  /// means no dependency.
+  const std::vector<ShardToken>& deps(const Ticket& t) const;
+  /// Mark parked envelope `t` open: its dependencies are met.
+  void open(const Ticket& t);
+  /// Remove and return the head of `c` if it is open; nullopt if `c` is
+  /// empty or its head is not open yet.
+  std::optional<ShardEnvelope> pop_open(Channel c);
 
   /// Envelopes queued on `c` (0 once its last envelope is popped).
   std::size_t depth(Channel c) const;
@@ -160,8 +181,23 @@ class ShardChannels {
   std::uint64_t malformed() const noexcept { return malformed_; }
 
  private:
+  struct Parked {
+    ShardEnvelope env;
+    bool open = false;
+  };
+  /// One channel's parked envelopes in arrival order; the head holds
+  /// ticket `front_seq`. An empty queue is erased: no ticket names it.
+  struct Queue {
+    std::deque<Parked> q;
+    std::uint64_t front_seq = 0;
+  };
+
+  /// The parked slot `t` names (const or not, after `self`).
+  template <class Self>
+  static auto& at(Self& self, const Ticket& t);
+
   ShardMap map_;
-  std::map<Channel, std::deque<ShardEnvelope>> chans_;
+  std::map<Channel, Queue> chans_;
   std::size_t parked_ = 0;
   std::uint64_t malformed_ = 0;
 };

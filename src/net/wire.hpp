@@ -106,13 +106,13 @@ class Decoder {
     return v;
   }
 
-  /// Read `n` raw bytes (no length prefix; caller frames it). Empty string
-  /// and sticky error on underrun.
-  std::string raw(std::size_t n) noexcept {
+  /// Read `n` raw bytes (no length prefix; caller frames it). Empty
+  /// vector and sticky error on underrun.
+  std::vector<std::uint8_t> raw(std::size_t n) noexcept {
     if (!need(n)) return {};
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
+    std::vector<std::uint8_t> v(data_ + pos_, data_ + pos_ + n);
     pos_ += n;
-    return s;
+    return v;
   }
 
   std::string bytes() noexcept {

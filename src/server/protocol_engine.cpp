@@ -540,25 +540,22 @@ void ProtocolEngine::loop() {
 }
 
 void ProtocolEngine::recheck_covered_waiters(bool expire_only) {
+  // One compacting pass: a backlog of sharded envelope gates can park many
+  // waiters at once, and erasing them one by one would be quadratic.
   const auto now = std::chrono::steady_clock::now();
-  for (auto it = covered_waiters_.begin(); it != covered_waiters_.end();) {
-    const bool expired = it->has_deadline && now >= it->deadline;
-    if (expired || !expire_only) {
-      if (proto_->covered_by(it->token)) {
-        auto cb = it->cb;
-        defer([cb] { (*cb)(true); });
-        it = covered_waiters_.erase(it);
-        continue;
-      }
-      if (expired) {
-        auto cb = it->cb;
-        defer([cb] { (*cb)(false); });
-        it = covered_waiters_.erase(it);
-        continue;
-      }
+  std::erase_if(covered_waiters_, [&](const CoveredWaiter& w) {
+    const bool expired = w.has_deadline && now >= w.deadline;
+    if (expire_only && !expired) return false;
+    if (proto_->covered_by(w.token)) {
+      defer([cb = w.cb] { (*cb)(true); });
+      return true;
     }
-    ++it;
-  }
+    if (expired) {
+      defer([cb = w.cb] { (*cb)(false); });
+      return true;
+    }
+    return false;
+  });
 }
 
 void ProtocolEngine::abort_parked() {

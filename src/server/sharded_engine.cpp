@@ -82,68 +82,52 @@ void ShardedEngine::deliver(net::Message msg) {
     engines_[0]->apply_message(std::move(msg));
     return;
   }
-  std::optional<Channel> c;
+  std::optional<Ticket> t;
+  std::vector<causal::ShardToken> deps;
   {
     std::lock_guard lk(adm_mu_);
-    c = channels_.push(msg);
-    // An armed channel picks the new envelope up once the heads before it
-    // are released.
-    if (c && !armed_.insert(*c).second) c.reset();
+    t = channels_.push(msg);
+    if (!t) return;
+    deps = channels_.deps(*t);
+    if (deps.empty()) {
+      // No dependency (fetch/catch-up requests, or trivially covered): open
+      // now; it is released as soon as the envelopes ahead of it are.
+      channels_.open(*t);
+      release(t->chan);
+      return;
+    }
   }
-  if (c) arm_or_drain(*c, /*bounded=*/true);
-}
-
-void ShardedEngine::arm_or_drain(Channel c, bool bounded) {
-  for (;;) {
-    std::vector<causal::ShardToken> deps;
-    std::optional<causal::ShardEnvelope> ready;
-    {
-      std::lock_guard lk(adm_mu_);
-      if (channels_.depth(c) == 0) {
-        armed_.erase(c);
-        return;
-      }
-      deps = channels_.head_deps(c);
-      if (deps.empty()) ready = channels_.pop(c);
-    }
-    if (ready) {
-      // Head carries no dependencies (fetch/catch-up requests, or trivially
-      // covered): release it here and look at the next head.
-      engines_[ready->shard]->apply_message(std::move(ready->inner), bounded);
-      continue;
-    }
-    auto gate = std::make_shared<Gate>();
-    gate->remaining.store(static_cast<std::uint32_t>(deps.size()),
-                          std::memory_order_relaxed);
-    gate->chan = c;
-    for (causal::ShardToken& t : deps) {
-      // Verdict value is irrelevant: covered -> proceed; nullopt (engine
-      // stopping) -> proceed too, the release enqueue is then a no-op drop,
-      // exactly what an unsharded stopping site does with late deliveries.
-      engines_[t.shard]->post_covered_callback(
-          std::move(t.token),
-          [this, gate](std::optional<bool>) {
-            if (gate->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-              on_gate_open(gate->chan);
-            }
-          },
-          bounded);
-    }
-    return;
+  // Gate this envelope now, whatever is parked ahead of it: coverage only
+  // grows, so a dependency met early stays met until its turn comes.
+  auto gate = std::make_shared<Gate>();
+  gate->remaining.store(static_cast<std::uint32_t>(deps.size()),
+                        std::memory_order_relaxed);
+  gate->ticket = *t;
+  for (causal::ShardToken& tok : deps) {
+    // Verdict value is irrelevant: covered -> proceed; nullopt (engine
+    // stopping) -> proceed too, the release enqueue is then a no-op drop,
+    // exactly what an unsharded stopping site does with late deliveries.
+    engines_[tok.shard]->post_covered_callback(
+        std::move(tok.token),
+        [this, gate](std::optional<bool>) {
+          if (gate->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            std::lock_guard lk(adm_mu_);
+            channels_.open(gate->ticket);
+            release(gate->ticket.chan);
+          }
+        },
+        /*bounded=*/true);
   }
 }
 
-void ShardedEngine::on_gate_open(Channel c) {
-  causal::ShardEnvelope env;
-  {
-    std::lock_guard lk(adm_mu_);
-    env = channels_.pop(c);
+void ShardedEngine::release(Channel c) {
+  // Under adm_mu_, so concurrent releasers pop one channel in FIFO order.
+  // The caller may be an apply thread (the last verdict): enqueues must not
+  // block, and adm_mu_ -> ProtocolEngine::mu_ is the only lock order.
+  while (std::optional<causal::ShardEnvelope> env = channels_.pop_open(c)) {
+    engines_[env->shard]->apply_message(std::move(env->inner),
+                                        /*bounded=*/false);
   }
-  // Runs on whichever shard's apply thread reported the last verdict (or on
-  // the poster's thread when an engine is stopping): everything below must
-  // stay non-blocking, hence unbounded enqueues.
-  engines_[env.shard]->apply_message(std::move(env.inner), /*bounded=*/false);
-  arm_or_drain(c, /*bounded=*/false);
 }
 
 std::uint64_t ShardedEngine::parked_envelopes() const {

@@ -17,12 +17,21 @@
 //    (publish-before-fulfill; see protocol_engine.hpp). Reading the cache
 //    is a mutex-protected lookup: shard k never blocks on shard j's apply
 //    thread. Already-wrapped catch-up resends pass through verbatim.
-//  * Inbound, the channels live under adm_mu_. A channel's head is armed by
-//    posting each of its dependencies to the target shard as a
-//    deadline-less covered-waiter; when the last one reports covered, the
-//    head is released into its shard's queue and the next head is armed.
-//    Cross-shard waits are acyclic in the happens-before order the senders
-//    serialized, so parked envelopes always drain (no timeout needed).
+//  * Inbound, the channels live under adm_mu_. Every envelope is gated when
+//    it arrives, whatever is parked ahead of it: each of its dependencies
+//    is posted to its shard as a deadline-less covered-waiter. The last
+//    verdict marks the envelope open and releases its channel's open heads,
+//    in FIFO order, into the target shard's queue. Coverage only grows, so
+//    an envelope opened early stays releasable until its turn. Cross-shard
+//    waits are acyclic in the happens-before order the senders serialized,
+//    so parked envelopes always drain (no timeout needed).
+//  * Releases run under adm_mu_, which keeps one channel's releases in
+//    order when several apply threads report verdicts at once. They use
+//    unbounded enqueues (the releaser may be an apply thread), so the lock
+//    order is adm_mu_ -> ProtocolEngine::mu_, never the reverse: no engine
+//    callback runs under its mu_, and covered-waiters are posted outside
+//    adm_mu_. The delivery thread meets the queue bound there, on those
+//    bounded posts.
 //
 // Client-visible session state: coverage tokens become the framed
 // concatenation of every shard's token (causal::combine_shard_tokens), and
@@ -38,7 +47,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -144,18 +152,15 @@ class ShardedEngine {
 
  private:
   using Channel = causal::ShardChannels::Channel;
-  /// Countdown for one armed head's dependency set.
+  using Ticket = causal::ShardChannels::Ticket;
+  /// Countdown for one parked envelope's dependency set.
   struct Gate {
     std::atomic<std::uint32_t> remaining{0};
-    Channel chan;
+    Ticket ticket;
   };
 
-  /// Arm (or immediately drain) the head of armed channel `c`; disarms it
-  /// once empty. `bounded` selects blocking vs non-blocking enqueues for
-  /// the covered-waiter posts and the release apply — false whenever the
-  /// caller may be an apply thread.
-  void arm_or_drain(Channel c, bool bounded);
-  void on_gate_open(Channel c);
+  /// Hand `c`'s open heads to their shard. Requires adm_mu_.
+  void release(Channel c);
 
   causal::ShardMap map_;
   causal::SiteId self_;
@@ -171,11 +176,9 @@ class ShardedEngine {
   std::vector<std::vector<std::vector<std::uint8_t>>> token_cache_;
 
   mutable std::mutex adm_mu_;
-  causal::ShardChannels channels_;  ///< guarded by adm_mu_ (wrap() is not)
-  /// Channels with a head in flight: a gate waiting, or a release not yet
-  /// followed by the next arm. Exactly one thread drives an armed channel,
-  /// which keeps its releases in FIFO order.
-  std::set<Channel> armed_;
+  /// Guarded by adm_mu_ (wrap() is not): admission, open marks and the
+  /// in-order release of open heads.
+  causal::ShardChannels channels_;
 };
 
 }  // namespace ccpr::server

@@ -324,6 +324,88 @@ TEST(ShardChannelsTest, MalformedEnvelopesAreCountedNotQueued) {
   EXPECT_TRUE(ch.channels().empty());
 }
 
+/// Pop every open head of `c` the way ShardedEngine releases; returns the
+/// released envelopes' seqs.
+std::vector<std::uint64_t> release(causal::ShardChannels& ch,
+                                   causal::ShardChannels::Channel c) {
+  std::vector<std::uint64_t> out;
+  while (auto env = ch.pop_open(c)) out.push_back(env->inner.chan_seq);
+  return out;
+}
+
+TEST(ShardChannelsTest, TicketsNameEachParkedEnvelope) {
+  causal::ShardChannels ch(4);
+  const auto t1 = ch.push(envelope_from(0, 0, 1, {{1, {7}}}));
+  const auto t2 = ch.push(envelope_from(0, 0, 2, {{2, {8}}, {3, {9}}}));
+  const auto other = ch.push(envelope_from(1, 0, 3, {}));
+  ASSERT_TRUE(t1 && t2 && other);
+  EXPECT_EQ(t1->chan, (causal::ShardChannels::Channel{0, 0}));
+  EXPECT_EQ(t2->chan, t1->chan);
+  EXPECT_EQ(t2->seq, t1->seq + 1);
+  EXPECT_EQ(other->chan, (causal::ShardChannels::Channel{1, 0}));
+  // A ticket behind the head still reaches its own dependencies.
+  ASSERT_EQ(ch.deps(*t2).size(), 2u);
+  EXPECT_EQ(ch.deps(*t2)[0].shard, 2u);
+  EXPECT_EQ(ch.deps(*t2)[1].shard, 3u);
+  EXPECT_TRUE(ch.deps(*other).empty());
+}
+
+TEST(ShardChannelsTest, OnlyAnOpenHeadIsReleasable) {
+  causal::ShardChannels ch(4);
+  const causal::ShardChannels::Channel c{0, 1};
+  EXPECT_FALSE(ch.pop_open(c).has_value());  // empty channel
+  const auto t = ch.push(envelope_from(0, 1, 1, {}));
+  ASSERT_TRUE(t);
+  // No dependency is not the same as open: the runtime decides.
+  EXPECT_TRUE(release(ch, c).empty());
+  EXPECT_EQ(ch.parked(), 1u);
+  ch.open(*t);
+  EXPECT_EQ(release(ch, c), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(ch.parked(), 0u);
+  EXPECT_TRUE(ch.channels().empty());
+}
+
+TEST(ShardChannelsTest, OpenOutOfOrderReleasesInArrivalOrder) {
+  causal::ShardChannels ch(4);
+  const causal::ShardChannels::Channel c{2, 3};
+  std::vector<causal::ShardChannels::Ticket> t;
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+    const auto tk = ch.push(envelope_from(2, 3, seq, {{0, {1}}}));
+    ASSERT_TRUE(tk);
+    t.push_back(*tk);
+  }
+  // The later envelopes open first; nothing passes the unmet head.
+  ch.open(t[3]);
+  ch.open(t[1]);
+  EXPECT_TRUE(release(ch, c).empty());
+  ch.open(t[0]);
+  EXPECT_EQ(release(ch, c), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(ch.parked(), 2u);
+  ch.open(t[2]);
+  EXPECT_EQ(release(ch, c), (std::vector<std::uint64_t>{3, 4}));
+  EXPECT_EQ(ch.parked(), 0u);
+  // A channel drained empty starts over; no old ticket can name it.
+  const auto again = ch.push(envelope_from(2, 3, 5, {}));
+  ASSERT_TRUE(again);
+  ch.open(*again);
+  EXPECT_EQ(release(ch, c), (std::vector<std::uint64_t>{5}));
+}
+
+TEST(ShardChannelsTest, MalformedEnvelopesGetNoTicket) {
+  causal::ShardChannels ch(4);
+  const auto t1 = ch.push(envelope_from(0, 1, 1, {}));
+  EXPECT_FALSE(ch.push(envelope_from(0, 1, 2, {{1, {4}}})));  // own shard
+  const auto t3 = ch.push(envelope_from(0, 1, 3, {}));
+  ASSERT_TRUE(t1 && t3);
+  // The rejected envelope took no place in the channel.
+  EXPECT_EQ(t3->seq, t1->seq + 1);
+  EXPECT_EQ(ch.parked(), 2u);
+  EXPECT_EQ(ch.malformed(), 1u);
+  ch.open(*t1);
+  ch.open(*t3);
+  EXPECT_EQ(release(ch, {0, 1}), (std::vector<std::uint64_t>{1, 3}));
+}
+
 TEST(ShardGroupTest, StaleShardTokenIsRejectedNotApplied) {
   // Two Opt-Track sites of 4 shards each, wired by hand so the test picks
   // which envelope reaches site 1 when. Site 0 writes x, then y, on

@@ -140,6 +140,61 @@ TEST_F(ShardedEngineTest, EnvelopeParksUntilItsCrossShardDependencyApplies) {
   EXPECT_EQ(site1_.engine.malformed_envelopes(), 0u);
 }
 
+TEST_F(ShardedEngineTest, BacklogIsGatedOnArrivalAndReleasedInOrder) {
+  // Site 0 writes x, then y K times: every y envelope depends on x's shard.
+  constexpr std::size_t kBacklog = 5;
+  ASSERT_TRUE(site0_.shard_of(x_).write(x_, "first", true));
+  for (std::size_t i = 1; i <= kBacklog; ++i) {
+    ASSERT_TRUE(site0_.shard_of(y_).write(y_, "y" + std::to_string(i), true));
+  }
+  std::vector<net::Message> sent = wire_.take();
+  ASSERT_EQ(sent.size(), kBacklog + 1);
+
+  for (std::size_t i = 1; i <= kBacklog; ++i) site1_.engine.deliver(sent[i]);
+  EXPECT_EQ(site1_.engine.parked_envelopes(), kBacklog);
+  // Every parked y has its gate on x's shard, not only the channel's head.
+  ASSERT_TRUE(eventually([&] {
+    return site1_.shard_of(x_).queue_stats().covered_waiters == kBacklog;
+  })) << "covered_waiters "
+      << site1_.shard_of(x_).queue_stats().covered_waiters;
+  EXPECT_EQ(site1_.read(y_), "");
+
+  site1_.engine.deliver(sent[0]);
+  ASSERT_TRUE(eventually([&] {
+    return site1_.read(y_) == "y" + std::to_string(kBacklog);
+  }));
+  EXPECT_EQ(site1_.read(x_), "first");
+  EXPECT_EQ(site1_.engine.parked_envelopes(), 0u);
+  EXPECT_EQ(site1_.shard_of(x_).queue_stats().covered_waiters, 0u);
+}
+
+TEST_F(ShardedEngineTest, OpenEnvelopeDoesNotOvertakeParkedHead) {
+  const auto [x_env, y_env] = write_x_then_y();
+  ASSERT_TRUE(site0_.shard_of(y_).write(y_, "third", true));
+  std::vector<net::Message> sent = wire_.take();
+  ASSERT_EQ(sent.size(), 1u);
+  // The second y envelope with its tokens stripped: open on arrival, but
+  // queued behind the first y, which still waits for x.
+  auto bare = causal::unwrap_shard_envelope(sent[0]);
+  ASSERT_TRUE(bare.has_value());
+  bare->tokens.clear();
+
+  site1_.engine.deliver(y_env);
+  site1_.engine.deliver(
+      causal::wrap_shard_envelope(bare->shard, bare->tokens, bare->inner));
+  EXPECT_EQ(site1_.engine.parked_envelopes(), 2u);
+  EXPECT_EQ(site1_.read(y_), "");
+  // Released early, the bare envelope would wait in y's shard's protocol.
+  const auto st = site1_.shard_of(y_).status();
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(st->pending_updates, 0u);
+
+  site1_.engine.deliver(x_env);
+  ASSERT_TRUE(eventually([&] { return site1_.read(y_) == "third"; }));
+  EXPECT_EQ(site1_.engine.parked_envelopes(), 0u);
+  EXPECT_EQ(site1_.engine.malformed_envelopes(), 0u);
+}
+
 TEST_F(ShardedEngineTest, StaleShardTokenIsRejectedNotDropped) {
   const auto [x_env, y_env] = write_x_then_y();
   // y's envelope with a token for a shard site 1 does not have put in
