@@ -37,15 +37,15 @@ namespace ccpr::causal {
 /// coverage_token/covered_by) must be invoked from one logical execution
 /// context at a time — concurrent calls are a bug, asserted by ProtocolBase.
 /// Each runtime discharges the contract its own way: the simulator runs
-/// everything on one thread, the threaded cluster serializes under its
-/// cluster mutex, and the TCP runtime funnels every command through the
-/// single-writer server::ProtocolEngine apply thread. The callbacks below
+/// everything on one thread, and the threaded and TCP runtimes funnel every
+/// command through the single-writer server::ProtocolEngine apply thread
+/// of the site (or engine shard). The callbacks below
 /// inherit obligations from this:
 ///   * `send` is invoked synchronously from inside protocol calls; it must
 ///     not call back into the same protocol instance (it may enqueue).
 ///   * `schedule` callbacks fire on runtime-owned timer machinery; the
 ///     runtime must marshal them back into the protocol's execution context
-///     (scheduler event, cluster mutex, engine command) before they touch
+///     (scheduler event, engine timer command) before they touch
 ///     the protocol — they count as protocol entry points when they run.
 struct Services {
   /// Asynchronous message send; the protocol fills msg.src/dst.

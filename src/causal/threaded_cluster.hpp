@@ -1,15 +1,16 @@
 // ThreadedCluster: the same protocol state machines running on real threads
-// over the ThreadTransport. Application calls are blocking (a read parks the
-// calling thread until the RemoteFetch response arrives), matching the
-// paper's synchronous operation model. Each site's protocol is guarded by
-// one mutex: application operations and message deliveries interleave but
-// never overlap, mirroring the per-site serialization of the simulator.
+// over the ThreadTransport. Each site's protocol belongs to one
+// server::ProtocolEngine, the site server's single-writer executor: its
+// apply thread runs every protocol call (application operations, the
+// messages the site's mailbox thread hands over, failover timers), so they
+// interleave but never overlap. Application calls are blocking producers on
+// that engine (a read parks the calling thread until the RemoteFetch
+// response has been applied), matching the paper's synchronous operation
+// model.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,14 +46,16 @@ class ThreadedCluster {
   Value read(SiteId s, VarId x);
 
   /// Atomic multi-read at one site: all variables must be locally
-  /// replicated there. Because a site's applies and reads are serialized
-  /// under one mutex and applied state is causally closed, the returned
-  /// values form a causally consistent cut (no value may depend on a
-  /// newer version of another returned variable).
+  /// replicated there. The reads run as one command on the site's apply
+  /// thread and applied state is causally closed, so the returned values
+  /// form a causally consistent cut (no value may depend on a newer version
+  /// of another returned variable).
   std::vector<Value> read_many(SiteId s, const std::vector<VarId>& vars);
 
-  /// Wait until all in-flight messages (and the handlers they trigger) have
-  /// been processed.
+  /// Wait until no message is queued in the transport and no command is
+  /// queued or running in any site's engine. A message counts as in flight
+  /// until its site's engine has applied it; the messages that apply sends
+  /// are waited for too.
   void drain();
 
   /// Session migration: block until site `to` has applied everything in
@@ -70,26 +73,15 @@ class ThreadedCluster {
   Value peek(SiteId s, VarId x) const;
 
  private:
-  struct Node : net::IMessageSink {
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    std::unique_ptr<IProtocol> proto;
-    metrics::Metrics metrics;
-
-    void deliver(net::Message msg) override {
-      {
-        std::lock_guard lk(mu);
-        proto->on_message(msg);
-      }
-      cv.notify_all();
-    }
-  };
+  /// One site's engine and the transport sink feeding it (see the .cpp).
+  struct Site;
 
   ReplicaMap rmap_;
-  Options opts_;
   metrics::Metrics transport_metrics_;
   checker::HistoryRecorder recorder_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  /// Messages the protocols have handed to the transport (see drain()).
+  std::atomic<std::uint64_t> sends_{0};
+  std::vector<std::unique_ptr<Site>> sites_;
   std::unique_ptr<net::ThreadTransport> transport_;
   util::TimerThread timers_;
 };

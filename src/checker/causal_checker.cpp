@@ -104,11 +104,12 @@ CheckResult check_causal_consistency(const HistoryRecorder& history,
 
   // ---- vector timestamps under ->co (po ∪ ro, transitively closed) ----
   // The global log interleaves per-process histories in *recording* order.
-  // With per-process recorders behind one cluster mutex that order is
-  // already consistent with read-from, but a real-time recorder (e.g. the
-  // TCP client library, one recorder shared by concurrent sessions) can log
-  // a read before the cross-process write it returned. So walk per-process
-  // cursors and only process a read once its source write has a timestamp —
+  // With the protocols recording as they run (simulator, threaded runtime)
+  // that order is already consistent with read-from, but a real-time
+  // recorder (e.g. the TCP client library, one recorder shared by
+  // concurrent sessions) can log a read before the cross-process write it
+  // returned. So walk per-process cursors and only process a read once its
+  // source write has a timestamp —
   // a topological order of po ∪ ro, which is acyclic for any honest
   // recording (a write cannot read-from-follow an op that program-order
   // precedes it).

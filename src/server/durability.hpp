@@ -100,6 +100,26 @@ class Durability {
     std::uint64_t gap_drops = 0;      ///< out-of-order updates dropped
     std::uint64_t skipped = 0;        ///< fast-forwarded past un-retained seqs
     std::uint64_t retained_msgs = 0;  ///< current retention gauge
+
+    /// Sum another shard's counters into this one (a sharded site's total).
+    Stats& operator+=(const Stats& o) noexcept {
+      wal_enabled = wal_enabled || o.wal_enabled;
+      wal.records_appended += o.wal.records_appended;
+      wal.bytes_appended += o.wal.bytes_appended;
+      wal.fsyncs += o.wal.fsyncs;
+      wal.checkpoints += o.wal.checkpoints;
+      wal.recovered_records += o.wal.recovered_records;
+      wal.truncated_bytes += o.wal.truncated_bytes;
+      catchup_updates += o.catchup_updates;
+      catchup_resent += o.catchup_resent;
+      catchup_reqs_sent += o.catchup_reqs_sent;
+      catchup_reqs_recv += o.catchup_reqs_recv;
+      dup_drops += o.dup_drops;
+      gap_drops += o.gap_drops;
+      skipped += o.skipped;
+      retained_msgs += o.retained_msgs;
+      return *this;
+    }
   };
 
   /// Startup-gate view: after a restart the server delays client service

@@ -283,6 +283,14 @@ std::optional<bool> ProtocolEngine::wait_covered(
   return comp->wait();
 }
 
+std::optional<bool> ProtocolEngine::wait_covered(
+    std::vector<std::uint8_t> token) {
+  auto comp = std::make_shared<Completion<bool>>();
+  submit_covered(std::move(token), /*has_deadline=*/false, {},
+                 completion_cb<bool>(comp), /*bounded=*/true);
+  return comp->wait();
+}
+
 // ---- async producer API ----
 
 void ProtocolEngine::async_write(causal::VarId x, std::string data,
@@ -320,68 +328,47 @@ void ProtocolEngine::post_covered_callback(std::vector<std::uint8_t> token,
 
 // ---- status / metrics ----
 
-std::optional<ProtocolEngine::StatusSnapshot> ProtocolEngine::status() {
-  auto comp = std::make_shared<Completion<StatusSnapshot>>();
-  const bool ok = enqueue(
-      CmdKind::kStatus,
-      [this, comp] {
-        StatusSnapshot s;
-        s.writes = proto_metrics_->writes;
-        s.reads = proto_metrics_->reads;
-        s.pending_updates = proto_->pending_update_count();
-        comp->fulfill(s);
-      },
-      /*bounded=*/true);
-  if (!ok) {
-    // Stopped-and-joined engines are quiescent; tests read post-mortem
-    // state this way. A stop() still in flight reports nullopt instead.
-    // lifecycle_mu_ keeps the protocol quiescent for the whole read — a
-    // concurrent start() would otherwise revive the apply thread between
-    // the check and the reads.
-    std::lock_guard lifecycle(lifecycle_mu_);
-    if (!quiescent()) return std::nullopt;
-    StatusSnapshot s;
-    s.writes = proto_metrics_->writes;
-    s.reads = proto_metrics_->reads;
-    s.pending_updates = proto_->pending_update_count();
-    return s;
+template <class T>
+std::optional<T> ProtocolEngine::inspect(std::function<T()> read) {
+  auto comp = std::make_shared<Completion<T>>();
+  if (enqueue(
+          CmdKind::kStatus, [comp, read] { comp->fulfill(read()); },
+          /*bounded=*/true)) {
+    return comp->wait();
   }
-  return comp->wait();
+  // Stopped-and-joined engines are quiescent; tests read post-mortem
+  // state this way. A stop() still in flight reports nullopt instead.
+  // lifecycle_mu_ keeps the protocol quiescent for the whole read — a
+  // concurrent start() would otherwise revive the apply thread between
+  // the check and the read.
+  std::lock_guard lifecycle(lifecycle_mu_);
+  if (!quiescent()) return std::nullopt;
+  return read();
+}
+
+std::optional<ProtocolEngine::StatusSnapshot> ProtocolEngine::status() {
+  return inspect<StatusSnapshot>([this] {
+    return StatusSnapshot{.writes = proto_metrics_->writes,
+                          .reads = proto_metrics_->reads,
+                          .pending_updates = proto_->pending_update_count()};
+  });
 }
 
 std::optional<metrics::Metrics> ProtocolEngine::protocol_metrics() {
-  auto comp = std::make_shared<Completion<metrics::Metrics>>();
-  const bool ok = enqueue(
-      CmdKind::kStatus,
-      [this, comp] {
-        metrics::Metrics m = *proto_metrics_;
-        m.log_entries.set(proto_->log_entry_count());
-        m.meta_state_bytes.set(proto_->meta_state_bytes());
-        comp->fulfill(std::move(m));
-      },
-      /*bounded=*/true);
-  if (!ok) {
-    std::lock_guard lifecycle(lifecycle_mu_);
-    if (!quiescent()) return std::nullopt;
+  return inspect<metrics::Metrics>([this] {
     metrics::Metrics m = *proto_metrics_;
     m.log_entries.set(proto_->log_entry_count());
     m.meta_state_bytes.set(proto_->meta_state_bytes());
     return m;
-  }
-  return comp->wait();
+  });
 }
 
 std::optional<store::EngineStats> ProtocolEngine::store_stats() {
-  auto comp = std::make_shared<Completion<store::EngineStats>>();
-  const bool ok = enqueue(
-      CmdKind::kStatus, [this, comp] { comp->fulfill(proto_->store_stats()); },
-      /*bounded=*/true);
-  if (!ok) {
-    std::lock_guard lifecycle(lifecycle_mu_);
-    if (!quiescent()) return std::nullopt;
-    return proto_->store_stats();
-  }
-  return comp->wait();
+  return inspect<store::EngineStats>([this] { return proto_->store_stats(); });
+}
+
+std::optional<causal::Value> ProtocolEngine::peek(causal::VarId x) {
+  return inspect<causal::Value>([this, x] { return proto_->peek(x); });
 }
 
 bool ProtocolEngine::quiescent() const {
@@ -431,30 +418,13 @@ void ProtocolEngine::persist_meta_merge(causal::VarId x,
 
 std::optional<Durability::Stats> ProtocolEngine::durability_stats() {
   if (!durability_) return Durability::Stats{};
-  auto comp = std::make_shared<Completion<Durability::Stats>>();
-  const bool ok = enqueue(
-      CmdKind::kStatus, [this, comp] { comp->fulfill(durability_->stats()); },
-      /*bounded=*/true);
-  if (!ok) {
-    std::lock_guard lifecycle(lifecycle_mu_);
-    if (!quiescent()) return std::nullopt;
-    return durability_->stats();
-  }
-  return comp->wait();
+  return inspect<Durability::Stats>([this] { return durability_->stats(); });
 }
 
 std::optional<Durability::CatchupProgress> ProtocolEngine::catchup_progress() {
   if (!durability_) return Durability::CatchupProgress{};
-  auto comp = std::make_shared<Completion<Durability::CatchupProgress>>();
-  const bool ok = enqueue(
-      CmdKind::kStatus, [this, comp] { comp->fulfill(durability_->progress()); },
-      /*bounded=*/true);
-  if (!ok) {
-    std::lock_guard lifecycle(lifecycle_mu_);
-    if (!quiescent()) return std::nullopt;
-    return durability_->progress();
-  }
-  return comp->wait();
+  return inspect<Durability::CatchupProgress>(
+      [this] { return durability_->progress(); });
 }
 
 ProtocolEngine::QueueStats ProtocolEngine::queue_stats() const {

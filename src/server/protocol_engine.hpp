@@ -7,8 +7,9 @@
 // contend on SiteServer's big mutex is now a *producer*: client-connection
 // threads, the transport delivery thread and the timer thread enqueue typed
 // commands onto one bounded MPSC queue and either block on a per-command
-// completion (legacy blocking API) or hand the engine a callback (async
-// API, used by the epoll reactor and the sharded-engine plumbing).
+// completion (blocking API, used by causal::ThreadedCluster) or hand the
+// engine a callback (async API, used by the epoll reactor and the
+// sharded-engine plumbing).
 //
 // Why this shape scales: protocol work is short and strictly serial anyway
 // (causal metadata has no exploitable intra-site parallelism), so the old
@@ -36,7 +37,8 @@
 //     waiting producer's completion;
 //   * covered_by waits — waiters are parked engine-side and re-checked
 //     after every coverage-changing command, with a deadline (or without
-//     one, for the sharded engine's envelope admission).
+//     one, for the sharded engine's envelope admission and for session
+//     migration on the threaded runtime).
 // On stop() every parked waiter and never-completed read is aborted, and
 // producers get std::nullopt (the server maps that to kShuttingDown).
 #pragma once
@@ -98,6 +100,17 @@ class ProtocolEngine {
       std::uint64_t t = 0;
       for (const auto v : enqueued) t += v;
       return t;
+    }
+    /// Sum another engine's counters into this one (a sharded site's total).
+    QueueStats& operator+=(const QueueStats& o) noexcept {
+      depth += o.depth;
+      capacity += o.capacity;
+      peak_depth += o.peak_depth;
+      producer_waits += o.producer_waits;
+      parked_reads += o.parked_reads;
+      covered_waiters += o.covered_waiters;
+      for (std::size_t k = 0; k < kCmdKinds; ++k) enqueued[k] += o.enqueued[k];
+      return *this;
     }
   };
 
@@ -180,12 +193,18 @@ class ProtocolEngine {
   /// final covered verdict (false on timeout).
   std::optional<bool> wait_covered(std::vector<std::uint8_t> token,
                                    std::uint64_t wait_us);
+  /// Wait with no deadline until the protocol covers `token` (true), or
+  /// until the engine stops (std::nullopt).
+  std::optional<bool> wait_covered(std::vector<std::uint8_t> token);
   std::optional<StatusSnapshot> status();
   /// Copy of the protocol-side metrics (taken on the apply thread, so it is
   /// a consistent snapshot).
   std::optional<metrics::Metrics> protocol_metrics();
   /// Value-store engine counters (same apply-thread snapshot discipline).
   std::optional<store::EngineStats> store_stats();
+  /// The protocol's current value of `x`, without read bookkeeping or a
+  /// RemoteFetch (convergence audits and tests).
+  std::optional<causal::Value> peek(causal::VarId x);
 
   // ---- async producer API (reactor threads, sharded-engine plumbing) ----
   // Enqueues never block on the queue bound (backpressure lives at the
@@ -292,6 +311,11 @@ class ProtocolEngine {
   bool enqueue(CmdKind kind, std::function<void()> run, bool bounded);
   /// Run `fn` now, or — inside a batch — after the batch-end hook.
   void defer(std::function<void()> fn);
+  /// Run `read` on the apply thread and return its result. Once the engine
+  /// is stopped and joined, run it on the calling thread instead; while a
+  /// stop() is in flight, std::nullopt.
+  template <class T>
+  std::optional<T> inspect(std::function<T()> read);
   /// True iff the apply thread is gone for good (stopped and joined, or
   /// never started) — direct protocol reads are then race-free.
   bool quiescent() const;
@@ -319,7 +343,7 @@ class ProtocolEngine {
 
   /// Serializes start()/stop() against each other (two concurrent stop()s
   /// must not both reach the join) and against the quiescent-fallback
-  /// protocol reads in status()/protocol_metrics(). Lock order:
+  /// protocol reads in inspect(). Lock order:
   /// lifecycle_mu_ before mu_; never taken on the apply thread.
   mutable std::mutex lifecycle_mu_;
   mutable std::mutex mu_;

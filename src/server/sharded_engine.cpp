@@ -359,29 +359,11 @@ std::optional<store::EngineStats> ShardedEngine::store_stats() {
 }
 
 std::optional<Durability::Stats> ShardedEngine::durability_stats() {
-  std::optional<Durability::Stats> sum;
+  Durability::Stats sum;
   for (auto& e : engines_) {
     const auto s = e->durability_stats();
     if (!s) return std::nullopt;
-    if (!sum) {
-      sum = *s;
-      continue;
-    }
-    sum->wal_enabled = sum->wal_enabled || s->wal_enabled;
-    sum->wal.records_appended += s->wal.records_appended;
-    sum->wal.bytes_appended += s->wal.bytes_appended;
-    sum->wal.fsyncs += s->wal.fsyncs;
-    sum->wal.checkpoints += s->wal.checkpoints;
-    sum->wal.recovered_records += s->wal.recovered_records;
-    sum->wal.truncated_bytes += s->wal.truncated_bytes;
-    sum->catchup_updates += s->catchup_updates;
-    sum->catchup_resent += s->catchup_resent;
-    sum->catchup_reqs_sent += s->catchup_reqs_sent;
-    sum->catchup_reqs_recv += s->catchup_reqs_recv;
-    sum->dup_drops += s->dup_drops;
-    sum->gap_drops += s->gap_drops;
-    sum->skipped += s->skipped;
-    sum->retained_msgs += s->retained_msgs;
+    sum += *s;
   }
   return sum;
 }

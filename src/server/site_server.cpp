@@ -18,6 +18,13 @@ namespace ccpr::server {
 
 namespace {
 
+/// The options byte that ends a put/get/snapshot request; old clients omit
+/// it.
+std::optional<std::uint8_t> trailing_opts(net::Decoder& req) {
+  if (req.remaining() == 0) return std::nullopt;
+  return req.u8();
+}
+
 sim::SimTime wall_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -427,8 +434,14 @@ void SiteServer::send_status(const net::Reactor::ConnRef& ref,
 
 void SiteServer::finish_with_tokens(net::Reactor::ConnRef ref,
                                     std::vector<std::uint8_t> partial,
-                                    bool want_tokens, bool dup_replay) {
-  if (!want_tokens || config_.site_count() <= 1) {
+                                    std::optional<std::uint8_t> opts,
+                                    bool dup_replay) {
+  if (!opts) {
+    // An old client sent no options byte and reads no flags byte back.
+    reactor_->send_response(ref, std::move(partial));
+    return;
+  }
+  if ((*opts & kReqWantTokens) == 0 || config_.site_count() <= 1) {
     net::Encoder resp(partial.size() + 1);
     resp.raw(partial.data(), partial.size());
     resp.u8(dup_replay ? kRespDupReplay : 0);
@@ -506,22 +519,18 @@ void SiteServer::handle_client_frame(const net::Reactor::ConnRef& ref,
         return;
       }
       // Trailing opts (absent from old clients): retry metadata.
-      std::uint8_t popts = 0;
+      const auto popts = trailing_opts(req);
       std::uint64_t session = 0;
       std::uint64_t req_id = 0;
-      const bool has_opts = req.remaining() > 0;
-      if (has_opts) {
-        popts = req.u8();
-        if ((popts & kReqHasRequestId) != 0) {
-          session = req.varint();
-          req_id = req.varint();
-        }
-        if (!req.ok()) {
-          send_status(ref, ClientStatus::kBadRequest);
-          return;
-        }
+      if (popts && (*popts & kReqHasRequestId) != 0) {
+        session = req.varint();
+        req_id = req.varint();
       }
-      const bool dedup = (popts & kReqHasRequestId) != 0 && session != 0;
+      if (!req.ok()) {
+        send_status(ref, ClientStatus::kBadRequest);
+        return;
+      }
+      const bool dedup = session != 0;  // set only with kReqHasRequestId
       if (dedup) {
         std::optional<ProtocolEngine::WriteResult> replay;
         {
@@ -537,20 +546,14 @@ void SiteServer::handle_client_frame(const net::Reactor::ConnRef& ref,
           resp.varint(replay->id.writer + 1);
           resp.varint(replay->id.seq);
           resp.varint(replay->lamport);
-          if (has_opts) {
-            finish_with_tokens(ref, resp.take(),
-                               (popts & kReqWantTokens) != 0,
-                               /*dup_replay=*/true);
-          } else {
-            reactor_->send_response(ref, resp.take());
-          }
+          finish_with_tokens(ref, resp.take(), popts, /*dup_replay=*/true);
           return;
         }
       }
       const bool local = rmap_.replicated_at(x, self_);
       engine_->async_write(
           x, std::move(data), local,
-          [this, ref, has_opts, popts, dedup, session,
+          [this, ref, popts, dedup, session,
            req_id](std::optional<ProtocolEngine::WriteResult> r) {
             if (!r) {
               send_status(ref, ClientStatus::kShuttingDown);
@@ -569,13 +572,7 @@ void SiteServer::handle_client_frame(const net::Reactor::ConnRef& ref,
             resp.varint(r->id.writer + 1);
             resp.varint(r->id.seq);
             resp.varint(r->lamport);
-            if (has_opts) {
-              finish_with_tokens(ref, resp.take(),
-                                 (popts & kReqWantTokens) != 0,
-                                 /*dup_replay=*/false);
-            } else {
-              reactor_->send_response(ref, resp.take());
-            }
+            finish_with_tokens(ref, resp.take(), popts, /*dup_replay=*/false);
           });
       return;
     }
@@ -585,8 +582,7 @@ void SiteServer::handle_client_frame(const net::Reactor::ConnRef& ref,
         send_status(ref, ClientStatus::kBadRequest);
         return;
       }
-      const bool has_opts = req.remaining() > 0;
-      const std::uint8_t gopts = has_opts ? req.u8() : 0;
+      const auto gopts = trailing_opts(req);
       if (!rmap_.replicated_at(x, self_)) {
         // The read would park on a RemoteFetch; if the failure detector
         // believes every replica of x is down, fail fast with a typed
@@ -605,7 +601,7 @@ void SiteServer::handle_client_frame(const net::Reactor::ConnRef& ref,
         }
       }
       engine_->async_read(
-          x, [this, ref, has_opts, gopts](std::optional<causal::Value> v) {
+          x, [this, ref, gopts](std::optional<causal::Value> v) {
             if (!v) {
               send_status(ref, ClientStatus::kShuttingDown);
               return;
@@ -613,12 +609,7 @@ void SiteServer::handle_client_frame(const net::Reactor::ConnRef& ref,
             net::Encoder resp;
             resp.u8(static_cast<std::uint8_t>(ClientStatus::kOk));
             causal::encode_value(resp, *v);
-            if (has_opts) {
-              finish_with_tokens(ref, resp.take(),
-                                 (gopts & kReqWantTokens) != 0, false);
-            } else {
-              reactor_->send_response(ref, resp.take());
-            }
+            finish_with_tokens(ref, resp.take(), gopts, /*dup_replay=*/false);
           });
       return;
     }
@@ -638,15 +629,13 @@ void SiteServer::handle_client_frame(const net::Reactor::ConnRef& ref,
           return;
         }
       }
-      const bool has_opts = req.remaining() > 0;
-      const std::uint8_t sopts = has_opts ? req.u8() : 0;
+      const auto sopts = trailing_opts(req);
       // Single shard: one engine command, the same atomic cut as
       // ThreadedCluster::read_many. Sharded: a sequence of per-shard cuts
       // (see sharded_engine.hpp).
       engine_->async_snapshot(
           std::move(vars),
-          [this, ref, has_opts,
-           sopts](std::optional<std::vector<causal::Value>> values) {
+          [this, ref, sopts](std::optional<std::vector<causal::Value>> values) {
             if (!values) {
               send_status(ref, ClientStatus::kShuttingDown);
               return;
@@ -657,12 +646,7 @@ void SiteServer::handle_client_frame(const net::Reactor::ConnRef& ref,
             for (const causal::Value& v : *values) {
               causal::encode_value(resp, v);
             }
-            if (has_opts) {
-              finish_with_tokens(ref, resp.take(),
-                                 (sopts & kReqWantTokens) != 0, false);
-            } else {
-              reactor_->send_response(ref, resp.take());
-            }
+            finish_with_tokens(ref, resp.take(), sopts, /*dup_replay=*/false);
           });
       return;
     }
@@ -946,17 +930,7 @@ std::size_t SiteServer::pending_updates() const {
 
 ProtocolEngine::QueueStats SiteServer::engine_stats() const {
   ProtocolEngine::QueueStats sum;
-  for (const auto& s : engine_->queue_stats()) {
-    sum.depth += s.depth;
-    sum.capacity += s.capacity;
-    sum.peak_depth += s.peak_depth;
-    sum.producer_waits += s.producer_waits;
-    sum.parked_reads += s.parked_reads;
-    sum.covered_waiters += s.covered_waiters;
-    for (std::size_t k = 0; k < ProtocolEngine::kCmdKinds; ++k) {
-      sum.enqueued[k] += s.enqueued[k];
-    }
-  }
+  for (const auto& s : engine_->queue_stats()) sum += s;
   return sum;
 }
 

@@ -155,12 +155,13 @@ class SiteServer : net::IMessageSink {
   void handle_admin_request(std::uint8_t op, net::Decoder& req,
                             net::Encoder& resp);
   void send_status(const net::Reactor::ConnRef& ref, ClientStatus st);
-  /// Append the response flags byte and, when requested, per-target
-  /// coverage tokens (gathered asynchronously), then send. Takes ownership
-  /// of the partially built response body.
+  /// Send the reply to a put/get/snapshot. With the request's options byte
+  /// `opts`, first append the response flags byte and, when requested,
+  /// per-target coverage tokens (gathered asynchronously); without it, send
+  /// `partial` as is. Takes ownership of the partially built response body.
   void finish_with_tokens(net::Reactor::ConnRef ref,
-                          std::vector<std::uint8_t> partial, bool want_tokens,
-                          bool dup_replay);
+                          std::vector<std::uint8_t> partial,
+                          std::optional<std::uint8_t> opts, bool dup_replay);
 
   ClusterConfig config_;
   causal::SiteId self_;

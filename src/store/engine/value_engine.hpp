@@ -19,8 +19,8 @@
 //
 // Threading contract: engines are NOT thread-safe. They inherit the
 // protocol's single-caller discipline (see util/single_caller.hpp) — the
-// sim loop, the per-node mutex of ThreadedCluster, or the TCP runtime's
-// single apply thread serializes every call. `find()` may mutate internal
+// sim loop, or the server::ProtocolEngine apply thread that runs each site
+// of the threaded and TCP runtimes, serializes every call. `find()` may mutate internal
 // state (scratch buffers, probe counters, clock bits) despite being a
 // read, so even concurrent finds are illegal.
 //

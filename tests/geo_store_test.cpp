@@ -215,5 +215,32 @@ TEST_P(GeoStoreTest, ConcurrentSessionsRemainCausal) {
   for (const auto& v : result.violations) ADD_FAILURE() << v;
 }
 
+TEST_P(GeoStoreTest, MigratedSessionReadsItsWritesWithoutFlush) {
+  // The writes are still in flight to site 1 when the session moves there,
+  // so only migrate()'s covered wait makes the read return the last one.
+  // With 4 engine shards the coverage token spans every shard.
+  for (const std::uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("engine_shards=" + std::to_string(shards));
+    GeoStore::Options opts;
+    opts.max_delay_us = 2000;
+    opts.protocol.engine_shards = shards;
+    GeoStore store(three_keys(), ReplicaMap::even(3, 3, 2), with_engine(opts));
+    ASSERT_TRUE(store.replica_map().replicated_at(0, 0));  // alice:wall
+    ASSERT_TRUE(store.replica_map().replicated_at(0, 1));
+    auto session = store.session(0);
+    for (int i = 1; i <= 20; ++i) {
+      session.put("alice:wall", "post " + std::to_string(i));
+    }
+    session.migrate(1);
+    EXPECT_EQ(session.site(), 1u);
+    EXPECT_EQ(session.get("alice:wall"), "post 20");
+    store.flush();
+    const auto result = checker::check_causal_consistency(
+        store.history(), store.replica_map());
+    EXPECT_TRUE(result.ok);
+    for (const auto& v : result.violations) ADD_FAILURE() << v;
+  }
+}
+
 }  // namespace
 }  // namespace ccpr::store
