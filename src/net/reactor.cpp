@@ -2,14 +2,18 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <string>
 #include <utility>
 
+#include "net/wake_batch.hpp"
 #include "net/wire.hpp"
 #include "util/assert.hpp"
+#include "util/thread_name.hpp"
 
 namespace ccpr::net {
 
@@ -19,6 +23,10 @@ namespace {
 constexpr std::uint64_t kTagWake = 0;
 constexpr std::uint64_t kTagListener = 1;
 constexpr std::uint64_t kFirstConnId = 2;
+
+// Frames per writev; the default in-flight cap bounds a connection's
+// released-but-unwritten responses to about this many.
+constexpr std::size_t kMaxIov = 128;
 
 }  // namespace
 
@@ -65,7 +73,10 @@ bool Reactor::start() {
     loops_.push_back(std::move(loop));
   }
   for (std::uint32_t i = 0; i < opts_.io_threads; ++i) {
-    loops_[i]->thread = std::thread([this, i] { run(i); });
+    loops_[i]->thread = std::thread([this, i] {
+      util::set_thread_name("io-" + std::to_string(i));
+      run(i);
+    });
   }
   started_ = true;
   return true;
@@ -85,6 +96,8 @@ void Reactor::stop() {
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
+  // The Loop objects stay until destruction: a wake deferred by another
+  // thread's WakeBatch may still name one, and finds it closed.
   for (auto& loop : loops_) {
     std::lock_guard lk(loop->mu);
     loop->closed = true;
@@ -95,32 +108,41 @@ void Reactor::stop() {
   }
   active_.store(0, std::memory_order_relaxed);
   listener_.close();
-  loops_.clear();
   started_ = false;
 }
 
-void Reactor::post(std::uint32_t idx, std::function<void()> op) {
+bool Reactor::post(std::uint32_t idx, std::function<void()> op) {
   Loop& loop = *loops_[idx];
+  {
+    std::lock_guard lk(loop.mu);
+    if (loop.closed) return false;
+    loop.ops.push_back(std::move(op));
+    // Only the op that makes the queue non-empty wakes the loop: the loop
+    // re-checks the queue under mu before it sleeps, so later ops ride on
+    // the same wake. Inside an apply-thread batch the wake itself waits
+    // for the batch end (net/wake_batch.hpp).
+    if (loop.ops.size() != 1) return true;
+  }
+  WakeBatch::wake(&Reactor::wake_loop, &loop);
+  return true;
+}
+
+void Reactor::wake_loop(void* target) {
+  Loop& loop = *static_cast<Loop*>(target);
   std::lock_guard lk(loop.mu);
-  if (loop.closed) return;
-  loop.ops.push_back(std::move(op));
+  if (loop.closed) return;  // eventfd already closed by stop()
   const std::uint64_t one = 1;
   [[maybe_unused]] const auto n = ::write(loop.wake, &one, sizeof one);
 }
 
 void Reactor::send_response(const ConnRef& ref,
                             std::vector<std::uint8_t> body) {
-  if (ref.loop >= loops_.size()) {
+  if (ref.loop >= loops_.size() ||
+      stopping_.load(std::memory_order_relaxed)) {
     late_responses_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Loop& loop = *loops_[ref.loop];
-  std::lock_guard lk(loop.mu);
-  if (loop.closed || stopping_.load(std::memory_order_relaxed)) {
-    late_responses_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  loop.ops.push_back([this, ref, body = std::move(body)]() mutable {
+  auto op = [this, ref, body = std::move(body)]() mutable {
     Loop& l = *loops_[ref.loop];
     const auto it = l.conns.find(ref.conn);
     if (it == l.conns.end()) {
@@ -133,10 +155,17 @@ void Reactor::send_response(const ConnRef& ref,
     framed.raw(body.data(), body.size());
     c.held.emplace(ref.seq, framed.take());
     release_ready(l, c);
-    flush_writes(l, c);
-  });
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const auto n = ::write(loop.wake, &one, sizeof one);
+    // Written once per drain by flush_dirty(), with every other response
+    // this drain released on the connection.
+    if (!c.dirty) {
+      c.dirty = true;
+      l.dirty.push_back(c.id);
+    }
+  };
+  // A closed loop refuses the op: count it as the late response it is.
+  if (!post(ref.loop, std::move(op))) {
+    late_responses_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void Reactor::run(std::uint32_t idx) {
@@ -159,6 +188,7 @@ void Reactor::run(std::uint32_t idx) {
       if (ops.empty()) break;
       for (auto& op : ops) op();
     }
+    flush_dirty(loop);
     run_due_timers(loop);
     for (int i = 0; i < (n > 0 ? n : 0); ++i) {
       const std::uint64_t tag = events[i].data.u64;
@@ -358,12 +388,32 @@ void Reactor::release_ready(Loop& loop, Conn& c) {
   }
 }
 
+void Reactor::flush_dirty(Loop& loop) {
+  for (const std::uint64_t id : loop.dirty) {
+    const auto it = loop.conns.find(id);
+    if (it == loop.conns.end()) continue;  // closed since it was marked
+    it->second->dirty = false;
+    flush_writes(loop, *it->second);
+  }
+  loop.dirty.clear();
+}
+
 void Reactor::flush_writes(Loop& loop, Conn& c) {
   const std::uint64_t id = c.id;
+  iovec iov[kMaxIov];
   while (!c.wq.empty()) {
-    const auto& front = c.wq.front();
-    const ssize_t n = ::write(c.sock.fd(), front.data() + c.woff,
-                              front.size() - c.woff);
+    // One writev over every queued frame (up to kMaxIov), the first one
+    // from where the last partial write stopped.
+    std::size_t count = 0;
+    for (auto it = c.wq.begin(); it != c.wq.end() && count < kMaxIov;
+         ++it, ++count) {
+      const std::size_t skip = count == 0 ? c.woff : 0;
+      iov[count].iov_base = it->data() + skip;
+      iov[count].iov_len = it->size() - skip;
+    }
+    flushes_.fetch_add(1, std::memory_order_relaxed);
+    const ssize_t n =
+        ::writev(c.sock.fd(), iov, static_cast<int>(count));
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -376,11 +426,15 @@ void Reactor::flush_writes(Loop& loop, Conn& c) {
       close_conn(loop, id, /*error=*/true);
       return;
     }
-    c.woff += static_cast<std::size_t>(n);
-    if (c.woff == front.size()) {
+    // Pop the frames written in full; note how far into the next one the
+    // kernel took (a partial write leaves it at the front).
+    auto written = static_cast<std::size_t>(n);
+    while (!c.wq.empty() && written >= c.wq.front().size() - c.woff) {
+      written -= c.wq.front().size() - c.woff;
       c.wq.pop_front();
       c.woff = 0;
     }
+    c.woff += written;
   }
   if (c.want_write) {
     c.want_write = false;
@@ -414,6 +468,7 @@ Reactor::Stats Reactor::stats() const {
   s.active = active_.load(std::memory_order_relaxed);
   s.frames_in = frames_in_.load(std::memory_order_relaxed);
   s.frames_out = frames_out_.load(std::memory_order_relaxed);
+  s.flushes = flushes_.load(std::memory_order_relaxed);
   s.accept_backoffs = accept_backoffs_.load(std::memory_order_relaxed);
   s.conns_dropped = conns_dropped_.load(std::memory_order_relaxed);
   s.late_responses = late_responses_.load(std::memory_order_relaxed);

@@ -20,6 +20,13 @@
 // releases responses strictly in request order per connection (clients
 // pipeline frames and match responses positionally).
 //
+// Batching: only the op that makes a loop's queue non-empty writes its
+// eventfd, and inside an apply-thread batch even that write waits for the
+// batch end (net/wake_batch.hpp). The loop drains every queued op, then
+// writes each connection that got responses once, with one writev over all
+// of its released frames; a partial write keeps the rest queued behind
+// EPOLLOUT.
+//
 // Backpressure: a connection with `max_inflight` unanswered requests stops
 // being read (EPOLLIN interest dropped) until responses drain — a client
 // flooding one connection stalls itself, not the loop. Accept storms under
@@ -78,6 +85,7 @@ class Reactor {
     std::uint64_t active = 0;          ///< open connections right now
     std::uint64_t frames_in = 0;
     std::uint64_t frames_out = 0;
+    std::uint64_t flushes = 0;         ///< writev calls (≥1 frame each)
     std::uint64_t accept_backoffs = 0; ///< fd-exhaustion listener parks
     std::uint64_t conns_dropped = 0;   ///< closed on protocol/socket error
     std::uint64_t late_responses = 0;  ///< response for a dead connection
@@ -116,6 +124,7 @@ class Reactor {
     std::uint32_t inflight = 0;
     bool want_write = false;
     bool paused = false;  ///< EPOLLIN interest dropped (in-flight cap)
+    bool dirty = false;   ///< listed in Loop::dirty
   };
 
   struct Loop {
@@ -128,17 +137,23 @@ class Reactor {
     std::vector<std::function<void()>> ops;  ///< guarded by mu
     /// Loop-thread-only from here down.
     std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
+    /// Connections with responses released since the last flush.
+    std::vector<std::uint64_t> dirty;
     std::vector<std::pair<std::chrono::steady_clock::time_point,
                           std::function<void()>>>
         timers;
   };
 
   void run(std::uint32_t idx);
-  void post(std::uint32_t idx, std::function<void()> op);
+  /// Queue `op` for loop `idx`; false (op dropped) once the loop closed.
+  bool post(std::uint32_t idx, std::function<void()> op);
+  /// WakeBatch target: write a loop's eventfd unless the loop closed.
+  static void wake_loop(void* loop);
   void accept_ready(Loop& loop);
   void add_conn(Loop& loop, Socket sock);
   void conn_readable(Loop& loop, Conn& c);
   void conn_writable(Loop& loop, Conn& c);
+  void flush_dirty(Loop& loop);
   void flush_writes(Loop& loop, Conn& c);
   void release_ready(Loop& loop, Conn& c);
   void update_events(Loop& loop, Conn& c);
@@ -159,6 +174,7 @@ class Reactor {
   std::atomic<std::uint64_t> active_{0};
   std::atomic<std::uint64_t> frames_in_{0};
   std::atomic<std::uint64_t> frames_out_{0};
+  std::atomic<std::uint64_t> flushes_{0};
   std::atomic<std::uint64_t> accept_backoffs_{0};
   std::atomic<std::uint64_t> conns_dropped_{0};
   std::atomic<std::uint64_t> late_responses_{0};

@@ -1,13 +1,19 @@
 #include "net/tcp_transport.hpp"
 
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <random>
+#include <string>
 #include <utility>
 
+#include "net/wake_batch.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "util/thread_name.hpp"
 
 namespace ccpr::net {
 
@@ -23,6 +29,17 @@ std::uint64_t draw_incarnation() {
   } while (nonce == 0);
   return nonce;
 }
+
+/// Inbound read size. Loopback batches of update frames are a few KiB, so
+/// one read takes a whole batch; a larger frame grows the buffer for as long
+/// as it takes to assemble it. Kept small: every reader thread holds one.
+constexpr std::size_t kReadChunk = 8 * 1024;
+
+/// A checked inbound frame and its size on the wire (length prefix too).
+struct Parsed {
+  Frame frame;
+  std::size_t wire_bytes = 0;
+};
 
 }  // namespace
 
@@ -67,10 +84,19 @@ bool TcpTransport::start() {
     in_closed_ = false;
   }
   started_ = true;
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  delivery_thread_ = std::thread([this] { delivery_loop(); });
+  accept_thread_ = std::thread([this] {
+    util::set_thread_name("peer-accept");
+    accept_loop();
+  });
+  delivery_thread_ = std::thread([this] {
+    util::set_thread_name("deliver");
+    delivery_loop();
+  });
   for (auto& link : links_) {
-    link->thread = std::thread([this, l = link.get()] { sender_loop(l); });
+    link->thread = std::thread([this, l = link.get()] {
+      util::set_thread_name("peer-tx-" + std::to_string(l->site));
+      sender_loop(l);
+    });
   }
   return true;
 }
@@ -154,10 +180,16 @@ void TcpTransport::send(Message msg) {
       }
       link->queue.push_back(Outbound{std::move(msg), ++link->next_seq, due});
     }
-    link->cv.notify_all();
+    // Inside an apply-thread batch this notify waits for the batch end, so
+    // a batch of sends wakes the sender thread once.
+    WakeBatch::wake(&TcpTransport::wake_sender, link.get());
     return;
   }
   CCPR_UNREACHABLE("send to unconfigured peer site");
+}
+
+void TcpTransport::wake_sender(void* link) {
+  static_cast<Link*>(link)->cv.notify_all();
 }
 
 void TcpTransport::sender_loop(Link* link) {
@@ -303,16 +335,12 @@ void TcpTransport::accept_loop() {
         ++it;
       }
     }
-    conn->thread = std::thread([this, raw] { reader_loop(raw); });
+    conn->thread = std::thread([this, raw] {
+      util::set_thread_name("peer-rx");
+      reader_loop(raw);
+    });
     conns_.push_back(std::move(conn));
   }
-}
-
-bool TcpTransport::known_peer(SiteId site) const {
-  for (const auto& link : links_) {
-    if (link->site == site) return true;
-  }
-  return false;
 }
 
 TcpTransport::Link* TcpTransport::link_for(SiteId site) const {
@@ -354,64 +382,133 @@ ChaosRule TcpTransport::chaos_rule(SiteId peer) const {
 }
 
 void TcpTransport::reader_loop(InConn* conn) {
-  std::vector<std::uint8_t> buf;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    std::uint8_t lenbuf[kFrameLenBytes];
-    if (!read_all(conn->sock.fd(), lenbuf, sizeof lenbuf)) break;
-    const auto framed =
-        decode_frame_size(lenbuf, sizeof lenbuf, opts_.max_frame_bytes);
-    if (!framed) break;  // oversized or zero length: drop the connection
-    buf.resize(*framed);
-    if (!read_all(conn->sock.fd(), buf.data(), buf.size())) break;
-    auto frame = decode_frame_body(buf.data(), buf.size());
-    if (!frame) break;  // malformed frame: drop the connection
-    if (frame->msg.dst != opts_.self || !known_peer(frame->msg.src)) break;
-    if (Link* link = link_for(frame->msg.src)) {
-      // Chaos partition blackholes the link from this site's point of
-      // view: frames from the partitioned peer are read off the socket and
-      // discarded before the seq-dedup bookkeeping, as if never received.
-      std::lock_guard lk(link->mu);
-      if (link->chaos.partition) {
-        ++link->chaos_rx_drops;
-        continue;
+  // Bytes [pos, have) of buf are read but not yet parsed. Each read takes
+  // what the kernel holds, up to the buffer's free space, and every complete
+  // frame in it is checked and queued under one in_mu_ lock with one notify:
+  // a writev batch from the peer costs one read and one wake, not two reads
+  // per frame.
+  std::vector<std::uint8_t> buf(kReadChunk);
+  std::size_t have = 0;
+  std::size_t pos = 0;
+  const auto compact = [&] {
+    std::memmove(buf.data(), buf.data() + pos, have - pos);
+    have -= pos;
+    pos = 0;
+  };
+  std::vector<Parsed> parsed;
+  std::uint64_t reads = 0;  // not yet credited to a peer's RecvStats
+  bool drop = false;        // a bad frame ends the connection
+  while (!drop && !stopping_.load(std::memory_order_relaxed)) {
+    if (pos == have) {
+      pos = have = 0;
+      // A large frame grew the buffer; give the memory back once it is
+      // consumed.
+      if (buf.size() > kReadChunk) {
+        std::vector<std::uint8_t>(kReadChunk).swap(buf);
       }
+    } else if (have == buf.size()) {
+      compact();  // a partial length prefix at the very end
     }
-    {
-      std::lock_guard lk(in_mu_);
-      RecvStats& rs = recv_[frame->msg.src];
-      if (frame->seq != 0) {
-        if (frame->incarnation != rs.incarnation) {
-          // New sender process instance: its seq space restarted, so the
-          // old watermark is meaningless. Reset rather than dropping the
-          // restarted site's traffic as "duplicates".
-          if (rs.incarnation != 0) ++rs.incarnation_resets;
-          rs.incarnation = frame->incarnation;
-          rs.last_seq = 0;
+    const ssize_t n =
+        ::read(conn->sock.fd(), buf.data() + have, buf.size() - have);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // EOF, reset, or shut down by stop()
+    ++reads;
+    have += static_cast<std::size_t>(n);
+
+    parsed.clear();
+    while (have - pos >= kFrameLenBytes) {
+      const auto framed = decode_frame_size(buf.data() + pos, kFrameLenBytes,
+                                            opts_.max_frame_bytes);
+      if (!framed) {  // oversized or zero length: drop the connection
+        drop = true;
+        break;
+      }
+      const std::size_t wire_bytes = kFrameLenBytes + *framed;
+      if (have - pos < wire_bytes) {
+        // Incomplete: make room for the whole frame before reading on.
+        if (pos + wire_bytes > buf.size()) {
+          compact();
+          if (wire_bytes > buf.size()) buf.resize(wire_bytes);
         }
-        if (frame->seq <= rs.last_seq) {
-          ++rs.dup_drops;
+        break;
+      }
+      auto frame =
+          decode_frame_body(buf.data() + pos + kFrameLenBytes, *framed);
+      pos += wire_bytes;
+      // Malformed, misrouted or from an unknown site: drop the connection.
+      Link* link = frame ? link_for(frame->msg.src) : nullptr;
+      if (link == nullptr || frame->msg.dst != opts_.self) {
+        drop = true;
+        break;
+      }
+      {
+        // Chaos partition blackholes the link from this site's point of
+        // view: frames from the partitioned peer are read off the socket
+        // and discarded before the seq-dedup bookkeeping, as if never
+        // received.
+        std::lock_guard lk(link->mu);
+        if (link->chaos.partition) {
+          ++link->chaos_rx_drops;
           continue;
         }
-        rs.last_seq = frame->seq;
       }
-      ++rs.msgs;
-      rs.bytes += buf.size() + kFrameLenBytes;
-      in_queue_.push_back(std::move(frame->msg));
+      parsed.push_back(Parsed{std::move(*frame), wire_bytes});
     }
-    in_cv_.notify_one();
+    // Frames parsed before a bad one are still delivered.
+    if (parsed.empty()) continue;
+    bool queued = false;
+    {
+      std::lock_guard lk(in_mu_);
+      recv_[parsed.front().frame.msg.src].reads += reads;
+      reads = 0;
+      for (Parsed& p : parsed) {
+        Frame& frame = p.frame;
+        RecvStats& rs = recv_[frame.msg.src];
+        if (frame.seq != 0) {
+          if (frame.incarnation != rs.incarnation) {
+            // New sender process instance: its seq space restarted, so
+            // the old watermark is meaningless. Reset rather than dropping
+            // the restarted site's traffic as "duplicates".
+            if (rs.incarnation != 0) ++rs.incarnation_resets;
+            rs.incarnation = frame.incarnation;
+            rs.last_seq = 0;
+          }
+          if (frame.seq <= rs.last_seq) {
+            ++rs.dup_drops;
+            continue;
+          }
+          rs.last_seq = frame.seq;
+        }
+        ++rs.msgs;
+        rs.bytes += p.wire_bytes;
+        in_queue_.push_back(std::move(frame.msg));
+        queued = true;
+      }
+    }
+    if (queued) in_cv_.notify_one();
   }
   {
     // Close eagerly so a dead peer's fd is not held until the next reap,
     // under the conn mutex: stop() may be shutting the same socket down.
     std::lock_guard lk(conn->mu);
+    if (drop) {
+      // Reset, not FIN: the sender's next write then fails and it redials,
+      // instead of writing into a half-closed socket whose bytes are lost.
+      // (The reader may hold the whole bad frame, so close() alone would
+      // find no unread data and send a FIN.)
+      const linger abort{1, 0};
+      ::setsockopt(conn->sock.fd(), SOL_SOCKET, SO_LINGER, &abort,
+                   sizeof abort);
+    }
     conn->sock.close();
   }
   conn->done.store(true, std::memory_order_release);
 }
 
 void TcpTransport::delivery_loop() {
+  std::deque<Message> batch;
   while (true) {
-    Message msg;
     {
       std::unique_lock lk(in_mu_);
       // Exit only once stop() has joined every producer (readers and the
@@ -419,10 +516,10 @@ void TcpTransport::delivery_loop() {
       // into the queue is always delivered.
       in_cv_.wait(lk, [&] { return !in_queue_.empty() || in_closed_; });
       if (in_queue_.empty()) return;  // closed and drained
-      msg = std::move(in_queue_.front());
-      in_queue_.pop_front();
+      batch.swap(in_queue_);
     }
-    sink_->deliver(std::move(msg));
+    for (Message& msg : batch) sink_->deliver(std::move(msg));
+    batch.clear();
   }
 }
 
@@ -515,6 +612,7 @@ std::vector<TcpTransport::PeerStats> TcpTransport::peer_stats() const {
       if (it != recv_.end()) {
         ps.msgs_recv = it->second.msgs;
         ps.bytes_recv = it->second.bytes;
+        ps.reads = it->second.reads;
         ps.dup_drops = it->second.dup_drops;
         ps.incarnation_resets = it->second.incarnation_resets;
       }

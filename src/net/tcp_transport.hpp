@@ -31,9 +31,15 @@
 //     queue stays unbounded on purpose: readers must never block, or two
 //     saturated sites could deadlock through their full kernel buffers
 //     (see docs/RUNTIMES.md, threading model).
-//   * Inbound, an accept thread spawns one reader thread per connection;
-//     readers push decoded frames onto a single delivery queue drained by a
-//     dedicated delivery thread, so deliveries to the sink never overlap.
+//   * Inbound, an accept thread spawns one reader thread per connection.
+//     A reader reads whatever the socket holds into a small buffer, decodes
+//     every complete frame in it and pushes them onto a single delivery
+//     queue under one lock with one notify; a dedicated delivery thread
+//     takes the whole queue per wakeup, so deliveries to the sink never
+//     overlap and a batch of frames costs one read and one wake.
+//   * send() queues at once but routes its sender-thread notify through
+//     net::WakeBatch: inside an apply-thread batch the notify waits for the
+//     batch end, so one batch of sends wakes each sender thread once.
 //   * A process crash loses whatever that process had queued or applied;
 //     messages queued toward a dead peer are retained up to the queue cap
 //     and delivered once the peer comes back (with its state reset — the
@@ -115,6 +121,7 @@ class TcpTransport final : public ITransport {
     std::uint64_t bytes_sent = 0;
     std::uint64_t msgs_recv = 0;
     std::uint64_t bytes_recv = 0;
+    std::uint64_t reads = 0;       ///< inbound read syscalls that got data
     std::uint64_t dup_drops = 0;   ///< frames discarded by seq dedup
     std::uint64_t connects = 0;    ///< successful dials (first + re-dials)
     std::uint64_t queued = 0;      ///< messages currently waiting to send
@@ -221,6 +228,7 @@ class TcpTransport final : public ITransport {
   struct RecvStats {
     std::uint64_t msgs = 0;
     std::uint64_t bytes = 0;
+    std::uint64_t reads = 0;
     std::uint64_t dup_drops = 0;
     /// Watermark of the highest seq seen, valid only within `incarnation`:
     /// when a frame arrives from a new sender incarnation the watermark
@@ -235,7 +243,8 @@ class TcpTransport final : public ITransport {
   void reader_loop(InConn* conn);
   void sender_loop(Link* link);
   void delivery_loop();
-  bool known_peer(SiteId site) const;
+  /// WakeBatch target: notify a link's sender thread.
+  static void wake_sender(void* link);
   Link* link_for(SiteId site) const;
 
   Options opts_;

@@ -207,6 +207,13 @@ std::string render_metrics_text(
   r.counter("ccpr_client_conns_dropped_total",
             "Client connections closed on a protocol or socket error",
             clients.conns_dropped);
+  r.counter("ccpr_client_frames_in_total", "Client request frames decoded",
+            clients.frames_in);
+  r.counter("ccpr_client_frames_out_total",
+            "Client response frames released in request order",
+            clients.frames_out);
+  r.counter("ccpr_client_flushes_total",
+            "writev calls writing client responses", clients.flushes);
 
   // ---- durability: WAL + anti-entropy catch-up ----
   r.gauge("ccpr_wal_enabled", "1 when this site runs with a write-ahead log",
@@ -294,6 +301,12 @@ std::string render_metrics_text(
   for (const auto& p : peers) {
     r.labeled("ccpr_peer_msgs_recv_total", peer_label(p.site),
               static_cast<double>(p.msgs_recv));
+  }
+  r.preamble("ccpr_peer_reads_total",
+             "read calls that took inbound bytes from a peer", "counter");
+  for (const auto& p : peers) {
+    r.labeled("ccpr_peer_reads_total", peer_label(p.site),
+              static_cast<double>(p.reads));
   }
   r.preamble("ccpr_peer_batches_sent_total", "writev flushes toward a peer",
              "counter");

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "net/wake_batch.hpp"
 #include "util/assert.hpp"
+#include "util/thread_name.hpp"
 
 namespace ccpr::server {
 
@@ -71,7 +73,10 @@ void ProtocolEngine::start() {
   CCPR_EXPECTS(!running_);
   stop_requested_ = false;
   running_ = true;
-  apply_thread_ = std::thread([this] { loop(); });
+  apply_thread_ = std::thread([this] {
+    util::set_thread_name(opts_.thread_name);
+    loop();
+  });
 }
 
 void ProtocolEngine::stop() {
@@ -470,6 +475,10 @@ void ProtocolEngine::loop() {
       cv_produce_.notify_all();
     }
 
+    // Peer sends and client responses queue at once, but their wake-ups
+    // (sender-thread notify, reactor eventfd) go out once per target when
+    // the batch and its callbacks are done, not once per message.
+    net::WakeBatch wakes;
     in_batch_ = true;
     bool coverage_dirty = false;
     for (Cmd& cmd : batch) {

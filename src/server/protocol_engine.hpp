@@ -31,6 +31,12 @@
 // async API freely (those enqueues never block) but must not call the
 // blocking API.
 //
+// Each batch, callbacks included, runs inside a net::WakeBatch scope: the
+// peer sends and client responses it produces queue at once, but the
+// wake-ups of the transport's sender threads and the reactor's loops are
+// issued once each at the batch end (net/wake_batch.hpp). Nothing on the
+// apply thread may therefore wait for a sender or a reactor loop.
+//
 // Blocking semantics recovered without holding locks across protocol calls:
 //   * reads that RemoteFetch complete later — the continuation fires on the
 //     apply thread during a subsequent message apply and fulfills the
@@ -86,6 +92,8 @@ class ProtocolEngine {
   struct Options {
     /// Commands admitted before producers block (admission control).
     std::size_t queue_capacity = 4096;
+    /// Name of the apply thread, as per-thread tools show it.
+    std::string thread_name = "apply";
   };
 
   struct QueueStats {

@@ -1,5 +1,6 @@
 #include "server/sharded_engine.hpp"
 
+#include <string>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -13,6 +14,7 @@ ShardedEngine::ShardedEngine(std::uint32_t shards, causal::SiteId self,
   engines_.reserve(map_.shards());
   metrics_.reserve(map_.shards());
   for (std::uint32_t k = 0; k < map_.shards(); ++k) {
+    engine_opts.thread_name = "apply-" + std::to_string(k);
     engines_.push_back(std::make_unique<ProtocolEngine>(engine_opts));
     metrics_.push_back(std::make_unique<metrics::Metrics>());
   }

@@ -13,6 +13,7 @@
 #include "causal/value_codec.hpp"
 #include "server/metrics_text.hpp"
 #include "util/assert.hpp"
+#include "util/thread_name.hpp"
 
 namespace ccpr::server {
 
@@ -253,7 +254,10 @@ bool SiteServer::start() {
     std::lock_guard lk(admin_mu_);
     admin_stop_ = false;
   }
-  admin_thread_ = std::thread([this] { admin_loop(); });
+  admin_thread_ = std::thread([this] {
+    util::set_thread_name("admin");
+    admin_loop();
+  });
 
   net::Socket listener = net::tcp_listen(config_.sites[self_].host,
                                          config_.sites[self_].client_port,
@@ -353,11 +357,10 @@ void SiteServer::stop() {
   stopping_.store(true, std::memory_order_relaxed);
   // Stop client I/O first: the reactor closes every connection and joins
   // its loops; engine callbacks still in flight then hit send_response's
-  // late-response drop instead of a dead socket.
-  if (reactor_) {
-    reactor_->stop();
-    reactor_.reset();
-  }
+  // late-response drop instead of a dead socket. The reactor object itself
+  // goes last, once no thread is left whose callbacks (or the batch-end
+  // wakes an apply thread defers) may still name it.
+  if (reactor_) reactor_->stop();
   // Drain the admin executor (its jobs use the blocking engine API, so it
   // must go before the engines do).
   {
@@ -375,6 +378,7 @@ void SiteServer::stop() {
   // the peer's fresh state anyway).
   transport_->flush(std::chrono::milliseconds(250));
   transport_->stop();
+  reactor_.reset();
   started_ = false;
 }
 

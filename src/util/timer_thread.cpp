@@ -1,5 +1,7 @@
 #include "util/timer_thread.hpp"
 
+#include "util/thread_name.hpp"
+
 namespace ccpr::util {
 
 void TimerThread::start() {
@@ -7,7 +9,10 @@ void TimerThread::start() {
   if (running_) return;
   running_ = true;
   stopping_ = false;
-  thread_ = std::thread([this] { pump(); });
+  thread_ = std::thread([this] {
+    set_thread_name("timer");
+    pump();
+  });
 }
 
 void TimerThread::stop() {

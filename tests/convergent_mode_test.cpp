@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 
 #include "checker/causal_checker.hpp"
 #include "checker/convergence.hpp"
@@ -63,11 +64,17 @@ TEST(ConvergentModeTest, CausallyOrderedWritesKeepLastValue) {
   EXPECT_TRUE(audit(c).converged());
 }
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// spells out its padding: every byte is initialised and the case names are
+// the same on every build and run.
 struct ConvergentSweepParam {
   Algorithm alg;
+  std::uint8_t pad0[3] = {};
   std::uint32_t p;
   const char* name;
 };
+static_assert(std::has_unique_object_representations_v<ConvergentSweepParam>,
+              "ConvergentSweepParam must have no implicit padding");
 
 class ConvergentSweep
     : public ::testing::TestWithParam<ConvergentSweepParam> {};
@@ -101,10 +108,14 @@ TEST_P(ConvergentSweep, RandomWorkloadConvergesAndStaysCausal) {
 INSTANTIATE_TEST_SUITE_P(
     Algorithms, ConvergentSweep,
     ::testing::Values(
-        ConvergentSweepParam{Algorithm::kOptTrack, 2, "OptTrack_partial"},
-        ConvergentSweepParam{Algorithm::kFullTrack, 2, "FullTrack_partial"},
-        ConvergentSweepParam{Algorithm::kOptTrackCRP, 4, "CRP"},
-        ConvergentSweepParam{Algorithm::kOptP, 4, "OptP"}),
+        ConvergentSweepParam{.alg = Algorithm::kOptTrack, .p = 2,
+                             .name = "OptTrack_partial"},
+        ConvergentSweepParam{.alg = Algorithm::kFullTrack, .p = 2,
+                             .name = "FullTrack_partial"},
+        ConvergentSweepParam{.alg = Algorithm::kOptTrackCRP, .p = 4,
+                             .name = "CRP"},
+        ConvergentSweepParam{.alg = Algorithm::kOptP, .p = 4,
+                             .name = "OptP"}),
     [](const ::testing::TestParamInfo<ConvergentSweepParam>& param_info) {
       return param_info.param.name;
     });

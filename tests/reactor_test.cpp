@@ -1,11 +1,14 @@
 // net::Reactor tests: framed echo traffic, strictly ordered pipelined
 // responses (including out-of-order completion), the per-connection
-// in-flight cap, late-response dropping, and the headline capacity claim —
-// thousands of idle connections held open while active traffic still
-// flows on a handful of loop threads.
+// in-flight cap, late-response dropping, batched response writes (a burst
+// of completions from several threads, one writev per drained burst), and
+// the headline capacity claim — thousands of idle connections held open
+// while active traffic still flows on a handful of loop threads.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <algorithm>
 #include <atomic>
@@ -19,6 +22,7 @@
 #include "net/frame.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
+#include "net/wake_batch.hpp"
 #include "net/wire.hpp"
 
 namespace ccpr {
@@ -330,6 +334,165 @@ TEST(ReactorTest, HoldsThousandsOfIdleConnectionsWhileServingTraffic) {
   }
   idle.clear();
   ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lim), 0);
+}
+
+/// Reactor whose handler only records requests; the test completes them.
+struct ParkingServer {
+  std::uint16_t port = 0;
+  std::unique_ptr<net::Reactor> reactor;
+  std::mutex mu;
+  std::vector<std::pair<net::Reactor::ConnRef, std::vector<std::uint8_t>>>
+      parked;
+
+  ParkingServer() {
+    net::Socket listener = net::tcp_listen("127.0.0.1", 0, &port);
+    EXPECT_TRUE(listener.valid());
+    reactor = std::make_unique<net::Reactor>(
+        std::move(listener), net::Reactor::Options{},
+        [this](const net::Reactor::ConnRef& ref,
+               std::vector<std::uint8_t> body) {
+          std::lock_guard lk(mu);
+          parked.emplace_back(ref, std::move(body));
+        });
+    EXPECT_TRUE(reactor->start());
+  }
+  ~ParkingServer() { reactor->stop(); }
+
+  bool wait_parked(std::size_t n) {
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (std::chrono::steady_clock::now() < deadline) {
+      {
+        std::lock_guard lk(mu);
+        if (parked.size() >= n) return true;
+      }
+      std::this_thread::sleep_for(1ms);
+    }
+    return false;
+  }
+
+  void complete(std::size_t i) {
+    auto& [ref, body] = parked[i];
+    reactor->send_response(ref, std::move(body));
+  }
+};
+
+/// Dial `port` with a receive timeout, so a lost wake fails the test
+/// instead of hanging it.
+net::Socket dial_with_timeout(std::uint16_t port) {
+  net::Socket c = net::tcp_dial("127.0.0.1", port);
+  timeval tv{};
+  tv.tv_sec = 5;
+  ::setsockopt(c.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  return c;
+}
+
+/// Pipeline `n` requests whose bodies are their indexes.
+void pipeline(int fd, std::size_t n) {
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < n; ++i) {
+    net::Encoder body;
+    body.varint(i);
+    const auto f = frame(body.buffer());
+    burst.insert(burst.end(), f.begin(), f.end());
+  }
+  ASSERT_TRUE(net::write_all(fd, burst.data(), burst.size()));
+}
+
+void expect_in_order(int fd, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::uint8_t> got;
+    ASSERT_TRUE(read_frame(fd, &got)) << "response " << i;
+    net::Decoder dec(got);
+    ASSERT_EQ(dec.varint(), i);
+  }
+}
+
+TEST(ReactorTest, CompletionBurstFromManyThreadsArrivesInOrder) {
+  // 96 pipelined requests, completed all at once by 4 threads, each taking
+  // every 4th request from the back. Only the completion that makes the
+  // loop's op queue non-empty writes the eventfd; a wake lost to that rule
+  // would leave responses queued and the read would time out.
+  const std::size_t kRequests = 96;
+  const std::size_t kThreads = 4;
+  ParkingServer srv;
+  net::Socket c = dial_with_timeout(srv.port);
+  ASSERT_TRUE(c.valid());
+  pipeline(c.fd(), kRequests);
+  ASSERT_TRUE(srv.wait_parked(kRequests));
+
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> completers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    completers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (std::size_t k = t; k < kRequests; k += kThreads) {
+        srv.complete(kRequests - 1 - k);
+      }
+    });
+  }
+  expect_in_order(c.fd(), kRequests);
+  for (auto& t : completers) t.join();
+  const auto st = srv.reactor->stats();
+  EXPECT_EQ(st.frames_out, kRequests);
+  EXPECT_GE(st.flushes, 1u);
+  EXPECT_LE(st.flushes, st.frames_out);
+}
+
+TEST(ReactorTest, ReleasedBurstIsWrittenWithFewWritevs) {
+  // Requests 1..95 complete from 3 threads while request 0 is held back,
+  // so nothing can be released; completing 0 releases all 96 in one op and
+  // the loop writes them with one writev, not one write per frame.
+  const std::size_t kRequests = 96;
+  ParkingServer srv;
+  net::Socket c = dial_with_timeout(srv.port);
+  ASSERT_TRUE(c.valid());
+  pipeline(c.fd(), kRequests);
+  ASSERT_TRUE(srv.wait_parked(kRequests));
+  const auto before = srv.reactor->stats();
+
+  std::vector<std::thread> completers;
+  for (std::size_t t = 0; t < 3; ++t) {
+    completers.emplace_back([&, t] {
+      for (std::size_t i = 1 + t; i < kRequests; i += 3) srv.complete(i);
+    });
+  }
+  for (auto& t : completers) t.join();
+  srv.complete(0);
+  expect_in_order(c.fd(), kRequests);
+  const auto after = srv.reactor->stats();
+  const std::uint64_t frames = after.frames_out - before.frames_out;
+  const std::uint64_t flushes = after.flushes - before.flushes;
+  EXPECT_EQ(frames, kRequests);
+  EXPECT_GE(flushes, 1u);
+  EXPECT_LE(flushes * 16, frames) << flushes << " writevs for " << frames;
+}
+
+TEST(ReactorTest, WakeBatchDefersTheLoopWakeToScopeEnd) {
+  // One thread completes 96 requests in order inside a WakeBatch scope,
+  // as an engine apply thread does: the loop is woken once, at scope end,
+  // finds all 96 responses queued and writes them together.
+  const std::size_t kRequests = 96;
+  ParkingServer srv;
+  net::Socket c = dial_with_timeout(srv.port);
+  ASSERT_TRUE(c.valid());
+  pipeline(c.fd(), kRequests);
+  ASSERT_TRUE(srv.wait_parked(kRequests));
+  // Let the loop finish the read and go back to sleep in epoll_wait; an
+  // awake loop would find the queued ops without any wake.
+  std::this_thread::sleep_for(50ms);
+  const auto before = srv.reactor->stats();
+  {
+    net::WakeBatch wakes;
+    for (std::size_t i = 0; i < kRequests; ++i) srv.complete(i);
+    // Queued, but the loop has not been woken: nothing is on the wire.
+    std::this_thread::sleep_for(20ms);
+    EXPECT_EQ(srv.reactor->stats().frames_out, before.frames_out);
+  }
+  expect_in_order(c.fd(), kRequests);
+  const auto after = srv.reactor->stats();
+  EXPECT_EQ(after.frames_out - before.frames_out, kRequests);
+  EXPECT_LE(after.flushes - before.flushes, 2u);
 }
 
 }  // namespace

@@ -1,14 +1,22 @@
 // TcpTransport tests over real loopback sockets: FIFO delivery, lazy dial
 // with backoff (peer not yet listening), reconnect after a peer restart,
-// loopback fast path, flush, and per-peer stats.
+// loopback fast path, flush, and per-peer stats. The RawPeer cases write
+// hand-made byte streams into the inbound reader: many frames per read, a
+// frame split over many reads, frames larger than the read buffer, a bad
+// frame after good ones, and the dedup / partition counters.
 #include "net/tcp_transport.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <initializer_list>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "net/frame.hpp"
+#include "net/socket.hpp"
 
 namespace ccpr::net {
 namespace {
@@ -354,6 +362,197 @@ TEST(TcpTransportTest, OversizedFrameDropsConnectionNotProcess) {
   EXPECT_EQ(sb.snapshot()[0].body[0], 0x01);
   a.stop();
   b.stop();
+}
+
+/// A TcpTransport for site 1 and a raw socket posing as site 0's sender,
+/// so a test controls exactly how the inbound bytes are cut into writes.
+struct RawPeer {
+  static constexpr std::uint64_t kIncarnation = 0xab;
+
+  std::vector<std::uint16_t> ports = pick_ports(2);
+  metrics::Metrics metrics;
+  CollectSink sink;
+  TcpTransport transport{options_for(1, ports), metrics};
+  Socket sock;
+
+  RawPeer() {
+    transport.connect(1, &sink);
+    EXPECT_TRUE(transport.start());
+    sock = tcp_dial("127.0.0.1", transport.listen_port());
+    EXPECT_TRUE(sock.valid());
+    EXPECT_TRUE(set_nodelay(sock.fd()));
+  }
+  ~RawPeer() { transport.stop(); }
+
+  /// Frame from site 0 with channel seq `seq`; body {tag, 0x5a} + filler.
+  static std::vector<std::uint8_t> frame(std::uint64_t seq, std::uint8_t tag,
+                                         std::size_t filler = 0) {
+    Message m = make_msg(0, 1, tag);
+    m.body.resize(m.body.size() + filler, 0xc3);
+    return encode_frame(m, kIncarnation, seq);
+  }
+
+  bool write(const std::vector<std::uint8_t>& bytes) const {
+    return write_all(sock.fd(), bytes.data(), bytes.size());
+  }
+
+  TcpTransport::PeerStats stats() const {
+    for (const auto& ps : transport.peer_stats()) {
+      if (ps.site == 0) return ps;
+    }
+    return {};
+  }
+};
+
+void append(std::vector<std::uint8_t>* out,
+            const std::vector<std::uint8_t>& bytes) {
+  out->insert(out->end(), bytes.begin(), bytes.end());
+}
+
+TEST(TcpTransportTest, ManyFramesInOneWriteArriveInOrder) {
+  RawPeer peer;
+  const std::size_t kFrames = 300;
+  std::vector<std::uint8_t> stream;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    append(&stream, RawPeer::frame(i + 1, static_cast<std::uint8_t>(i)));
+  }
+  ASSERT_TRUE(peer.write(stream));
+  ASSERT_TRUE(peer.sink.wait_for_count(kFrames));
+  const auto msgs = peer.sink.snapshot();
+  ASSERT_EQ(msgs.size(), kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(msgs[i].body[0], static_cast<std::uint8_t>(i)) << "frame " << i;
+  }
+  const auto st = peer.stats();
+  EXPECT_EQ(st.msgs_recv, kFrames);
+  EXPECT_EQ(st.bytes_recv, stream.size());
+  // Whole buffers of frames per read, not one read per frame.
+  EXPECT_GE(st.reads, 1u);
+  EXPECT_LT(st.reads, kFrames / 4);
+}
+
+TEST(TcpTransportTest, FrameSplitByteByByteIsReassembled) {
+  RawPeer peer;
+  const auto first = RawPeer::frame(1, 0x11, 40);
+  for (const std::uint8_t byte : first) {
+    ASSERT_TRUE(peer.write({byte}));
+    std::this_thread::sleep_for(200us);
+  }
+  ASSERT_TRUE(peer.sink.wait_for_count(1));
+  // The reader's state is clean after the split frame: the next one lands.
+  const auto second = RawPeer::frame(2, 0x22);
+  ASSERT_TRUE(peer.write(second));
+  ASSERT_TRUE(peer.sink.wait_for_count(2));
+  const auto msgs = peer.sink.snapshot();
+  ASSERT_EQ(msgs.size(), 2u);
+  EXPECT_EQ(msgs[0].body[0], 0x11);
+  EXPECT_EQ(msgs[0].body.size(), 42u);
+  EXPECT_EQ(msgs[1].body[0], 0x22);
+  const auto st = peer.stats();
+  EXPECT_EQ(st.msgs_recv, 2u);
+  EXPECT_EQ(st.bytes_recv, first.size() + second.size());
+}
+
+TEST(TcpTransportTest, FrameLargerThanReadChunkIsReassembled) {
+  RawPeer peer;
+  // Far larger than the reader's buffer, between two small frames, in one
+  // write and then again split at odd offsets.
+  const std::size_t kBig = 300 * 1024;
+  std::vector<std::uint8_t> stream;
+  append(&stream, RawPeer::frame(1, 0x01));
+  append(&stream, RawPeer::frame(2, 0x02, kBig));
+  append(&stream, RawPeer::frame(3, 0x03));
+  append(&stream, RawPeer::frame(4, 0x04, kBig));
+  append(&stream, RawPeer::frame(5, 0x05));
+  const std::size_t cut = stream.size() * 3 / 8;  // inside the first big one
+  std::thread writer([&] {
+    EXPECT_TRUE(write_all(peer.sock.fd(), stream.data(), cut));
+    std::this_thread::sleep_for(5ms);
+    EXPECT_TRUE(write_all(peer.sock.fd(), stream.data() + cut,
+                          stream.size() - cut));
+  });
+  ASSERT_TRUE(peer.sink.wait_for_count(5));
+  writer.join();
+  const auto msgs = peer.sink.snapshot();
+  ASSERT_EQ(msgs.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(msgs[i].body[0], static_cast<std::uint8_t>(i + 1));
+  }
+  EXPECT_EQ(msgs[1].body.size(), kBig + 2);
+  EXPECT_EQ(msgs[3].body.size(), kBig + 2);
+  EXPECT_EQ(msgs[3].body.back(), 0xc3);
+  EXPECT_EQ(peer.stats().bytes_recv, stream.size());
+}
+
+TEST(TcpTransportTest, FramesBeforeMalformedOneAreDeliveredThenConnDrops) {
+  RawPeer peer;
+  std::vector<std::uint8_t> stream;
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    append(&stream, RawPeer::frame(seq, static_cast<std::uint8_t>(seq)));
+  }
+  // A well-formed length prefix over a body with an unknown message kind.
+  append(&stream, {4, 0, 0, 0, 0xee, 0, 0, 0});
+  append(&stream, RawPeer::frame(4, 0x04));  // after the bad one: never read
+  ASSERT_TRUE(peer.write(stream));
+  ASSERT_TRUE(peer.sink.wait_for_count(3));
+  // The transport closes the connection: the raw peer sees EOF or a reset.
+  std::uint8_t byte = 0;
+  EXPECT_LE(::read(peer.sock.fd(), &byte, 1), 0);
+  std::this_thread::sleep_for(20ms);
+  const auto msgs = peer.sink.snapshot();
+  ASSERT_EQ(msgs.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(msgs[i].body[0], static_cast<std::uint8_t>(i + 1));
+  }
+  EXPECT_EQ(peer.stats().msgs_recv, 3u);
+
+  // The process is fine: a fresh connection delivers again.
+  Socket again = tcp_dial("127.0.0.1", peer.transport.listen_port());
+  ASSERT_TRUE(again.valid());
+  const auto next = RawPeer::frame(5, 0x05);
+  ASSERT_TRUE(write_all(again.fd(), next.data(), next.size()));
+  ASSERT_TRUE(peer.sink.wait_for_count(4));
+  EXPECT_EQ(peer.sink.snapshot()[3].body[0], 0x05);
+}
+
+TEST(TcpTransportTest, BatchedReadsKeepDedupAndPartitionCounters) {
+  RawPeer peer;
+  // Seqs 1..3, a replay of 2..3, then 4: one write, so one read sees the
+  // duplicates between fresh frames.
+  std::vector<std::uint8_t> stream;
+  for (const std::uint64_t seq :
+       std::initializer_list<std::uint64_t>{1, 2, 3, 2, 3, 4}) {
+    append(&stream, RawPeer::frame(seq, static_cast<std::uint8_t>(seq)));
+  }
+  ASSERT_TRUE(peer.write(stream));
+  ASSERT_TRUE(peer.sink.wait_for_count(4));
+  auto st = peer.stats();
+  EXPECT_EQ(st.msgs_recv, 4u);
+  EXPECT_EQ(st.dup_drops, 2u);
+
+  // Partitioned: the frames are read and discarded before dedup, counted.
+  ChaosRule partition;
+  partition.partition = true;
+  peer.transport.set_chaos(0, partition);
+  stream.clear();
+  append(&stream, RawPeer::frame(5, 0x05));
+  append(&stream, RawPeer::frame(6, 0x06));
+  ASSERT_TRUE(peer.write(stream));
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (peer.stats().chaos_rx_drops < 2) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(2ms);
+  }
+  peer.transport.clear_chaos();
+  ASSERT_TRUE(peer.write(RawPeer::frame(7, 0x07)));
+  ASSERT_TRUE(peer.sink.wait_for_count(5));
+  const auto msgs = peer.sink.snapshot();
+  ASSERT_EQ(msgs.size(), 5u);
+  EXPECT_EQ(msgs[4].body[0], 0x07);
+  st = peer.stats();
+  EXPECT_EQ(st.msgs_recv, 5u);
+  EXPECT_EQ(st.dup_drops, 2u);
+  EXPECT_EQ(st.chaos_rx_drops, 2u);
 }
 
 }  // namespace
